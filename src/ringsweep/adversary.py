@@ -24,32 +24,8 @@ from typing import IO, Sequence
 
 from .directions import Chirality, Direction, to_global, GlobalDirection
 from .engine import ALGO_PEF2, ALGO_PEF3, RunView, Trace, _round_kernel, run_states
-from .ring_model import (
-    EvolvingRing,
-    EventualMissingSchedule,
-    Footprint,
-    RecurrentRandomSchedule,
-)
 from .robot_core import RobotState
 from .words import normalize_index, transformed_length
-
-
-def recurrent_random(n: int, p: float, recurrence_bound: int, seed: int) -> EvolvingRing:
-    """Edge-recurrent ring: Bernoulli(p) presence patched to the bound."""
-    return EvolvingRing(Footprint(n), RecurrentRandomSchedule(n, p, recurrence_bound, seed))
-
-
-def eventual_missing(
-    n: int,
-    missing_edge: int,
-    cutoff: int,
-    p: float = 0.5,
-    recurrence_bound: int = 8,
-    seed: int = 0,
-) -> EvolvingRing:
-    """Connected-over-time ring with one edge forced absent from `cutoff` on."""
-    inner = RecurrentRandomSchedule(n, p, recurrence_bound, seed)
-    return EvolvingRing(Footprint(n), EventualMissingSchedule(inner, missing_edge, cutoff))
 
 
 CONFINEMENT_ACTIVE = "active"
@@ -461,39 +437,44 @@ def write_witness_file(witness: Witness, path: str) -> None:
 
 
 def read_witness(lines) -> Witness:
+    """Parse a witness file; malformed input raises ValueError."""
     it = iter(lines)
-    header = json.loads(next(it))
-    if header.get("format") != "ringsweep-witness":
-        raise ValueError("not a ringsweep witness file")
-    robots = [
-        RobotState.make(
-            r["id"],
-            position=r["pos"],
-            direction=Direction(r["dir"]),
-            chirality=Chirality(r["chirality"]),
-            i=r["i"],
-            nrpea=r["nrpea"],
-            hmpea=r["hmpea"],
+    lineno = 1
+    try:
+        header = json.loads(next(it, ""))
+        if header.get("format") != "ringsweep-witness":
+            raise ValueError("not a ringsweep witness file")
+        robots = [
+            RobotState.make(
+                r["id"],
+                position=r["pos"],
+                direction=Direction(r["dir"]),
+                chirality=Chirality(r["chirality"]),
+                i=r["i"],
+                nrpea=r["nrpea"],
+                hmpea=r["hmpea"],
+            )
+            for r in header["robots"]
+        ]
+        witness = Witness(
+            n=header["n"],
+            algo=header["algo"],
+            max_absent=header["max_absent"],
+            robots=robots,
+            policy={},
+            path_length=header["path_length"],
+            cycle_length=header["cycle_length"],
+            cycle_always_absent=tuple(header["cycle_always_absent"]),
+            starved_nodes=tuple(header["starved_nodes"]),
         )
-        for r in header["robots"]
-    ]
-    policy = {}
-    for line in it:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        policy[rec["state"]] = tuple(rec["absent"])
-    return Witness(
-        n=header["n"],
-        algo=header["algo"],
-        max_absent=header["max_absent"],
-        robots=robots,
-        policy=policy,
-        path_length=header["path_length"],
-        cycle_length=header["cycle_length"],
-        cycle_always_absent=tuple(header["cycle_always_absent"]),
-        starved_nodes=tuple(header["starved_nodes"]),
-    )
+        for lineno, line in enumerate(it, start=2):
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            witness.policy[rec["state"]] = tuple(rec["absent"])
+        return witness
+    except KeyError as exc:
+        raise ValueError(f"witness line {lineno}: missing field {exc}") from None
 
 
 def read_witness_file(path: str) -> Witness:

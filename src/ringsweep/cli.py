@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from . import adversary as adv
 from . import analysis
@@ -18,7 +18,11 @@ from .engine import read_trace_file, write_trace_file
 from .scenario import (
     Scenario,
     ScenarioError,
+    apply_cohort,
+    build_robots,
+    parse_mutations,
     parse_removals,
+    parse_robot_ids,
     parse_robot_record,
     parse_scenario_file,
     run_scenario,
@@ -70,50 +74,33 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mutations", help="comma-separated fault-injection flags")
 
 
-def _scenario_from_args(args) -> Scenario:
-    sc = parse_scenario_file(args.scenario) if args.scenario else Scenario()
-    if args.n is not None:
-        sc.n = args.n
-    if args.algo is not None:
-        sc.algo = args.algo
-    if args.robots is not None:
-        from .scenario import RobotSpec
+def _apply_cohort_flags(sc: Scenario, args) -> Scenario:
+    """`--n/--algo/--robots/--robot/--seed` on top of `sc`."""
+    return apply_cohort(
+        sc,
+        n=args.n,
+        algo=args.algo,
+        robots=parse_robot_ids(args.robots) if args.robots is not None else None,
+        records=[parse_robot_record(rec) for rec in args.robot],
+        seed=args.seed,
+    )
 
-        sc.robots = [RobotSpec(id=int(x)) for x in args.robots.split(",") if x.strip()]
-    for rec in args.robot:
-        sc.robots.append(parse_robot_record(rec))
-    if args.schedule is not None:
-        sc.schedule = args.schedule
-    sc.seed = args.seed if args.seed is not None else (sc.seed or _default_seed())
-    if args.p is not None:
-        sc.p = args.p
-    if args.recurrence_bound is not None:
-        sc.recurrence_bound = args.recurrence_bound
-    if args.missing_edge is not None:
-        sc.missing_edge = args.missing_edge
-    if args.cutoff is not None:
-        sc.cutoff = args.cutoff
+
+def _scenario_from_args(args) -> Scenario:
+    # Seed order: the flag, then the file key, then RINGSWEEP_SEED, then 0.
+    sc = Scenario(seed=_default_seed())
+    if args.scenario:
+        sc = parse_scenario_file(args.scenario, sc)
+    _apply_cohort_flags(sc, args)
+    for key in ("schedule", "p", "recurrence_bound", "missing_edge", "cutoff", "adversary",
+                "stall_cap", "rounds"):
+        if getattr(args, key) is not None:
+            setattr(sc, key, getattr(args, key))
     if args.removals is not None:
         sc.removals = parse_removals(args.removals)
-    if args.adversary is not None:
-        sc.adversary = args.adversary
-    if args.stall_cap is not None:
-        sc.stall_cap = args.stall_cap
-    if args.rounds is not None:
-        sc.rounds = args.rounds
     if args.mutations is not None:
-        sc.mutations = frozenset(x.strip() for x in args.mutations.split(",") if x.strip())
+        sc.mutations = parse_mutations(args.mutations)
     return sc
-
-
-def _strategy_for(sc: Scenario):
-    if sc.adversary is None:
-        return None
-    if sc.adversary == "confinement":
-        return adv.ConfinementAdversary(sc.n, stall_cap=sc.stall_cap)
-    path = sc.adversary.split(":", 1)[1]
-    witness = adv.read_witness_file(path)
-    return adv.WitnessStrategy(witness)
 
 
 def _simulate_one(sc: Scenario, out_path: str | None, print_prefix: str = "") -> int:
@@ -123,7 +110,9 @@ def _simulate_one(sc: Scenario, out_path: str | None, print_prefix: str = "") ->
         witness = adv.read_witness_file(sc.adversary.split(":", 1)[1])
         trace = adv.replay_witness(witness, sc.rounds)
     else:
-        trace = run_scenario(sc, strategy=_strategy_for(sc))
+        confine = sc.adversary == "confinement"
+        strategy = adv.ConfinementAdversary(sc.n, stall_cap=sc.stall_cap) if confine else None
+        trace = run_scenario(sc, strategy=strategy)
     if out_path:
         write_trace_file(trace, out_path)
     towers = analysis.detect_towers(trace)
@@ -140,19 +129,12 @@ def cmd_simulate(args) -> int:
     sc = _scenario_from_args(args)
     if args.batch is None:
         return _simulate_one(sc, args.out)
-    import copy
-
-    codes = []
     base_out = args.out or "trace"
-
-    def one(j: int) -> int:
-        scj = copy.deepcopy(sc)
-        scj.seed = sc.seed + j
-        return _simulate_one(scj, f"{base_out}.seed{scj.seed}.jsonl", print_prefix=f"[seed {scj.seed}] ")
-
-    with ThreadPoolExecutor(max_workers=min(args.batch, 8)) as pool:
-        codes = list(pool.map(one, range(args.batch)))
-    return max(codes) if codes else EXIT_OK
+    code = EXIT_OK
+    for seed in range(sc.seed, sc.seed + args.batch):
+        out = f"{base_out}.seed{seed}.jsonl"
+        code = max(code, _simulate_one(replace(sc, seed=seed), out, print_prefix=f"[seed {seed}] "))
+    return code
 
 
 def cmd_analyze(args) -> int:
@@ -190,30 +172,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n > 6:
-        print(f"search is desk-scale: n must be <= 6, got {args.n}", file=sys.stderr)
-        return EXIT_VALIDATION
-    ids = [int(x) for x in args.robots.split(",") if x.strip()]
-    if not ids or len(ids) > 3:
-        print("search needs 1..3 robot ids", file=sys.stderr)
-        return EXIT_VALIDATION
-    sc = Scenario(n=args.n, algo=args.algo, rounds=1, seed=args.seed or _default_seed())
-    from .scenario import RobotSpec, build_robots
-
-    sc.robots = [RobotSpec(id=i) for i in ids]
-    for rec in args.robot:
-        spec = parse_robot_record(rec)
-        sc.robots = [spec if r.id == spec.id else r for r in sc.robots]
-        if spec.id not in [r.id for r in sc.robots]:
-            sc.robots.append(spec)
-    try:
-        sc.validate()
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
+    sc = _apply_cohort_flags(Scenario(seed=_default_seed()), args)
+    sc.validate()
     robots = build_robots(sc)
     result = adv.game_search(
-        args.n, robots, args.algo, max_absent=args.max_absent, state_budget=args.state_budget
+        sc.n, robots, sc.algo, max_absent=args.max_absent, state_budget=args.state_budget
     )
     print(
         f"verdict: {result.verdict}   explored states: {result.explored}"
@@ -311,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario and report coverage")
     _add_scenario_flags(p_sim)
     p_sim.add_argument("--out", help="trace output path (line-delimited records)")
-    p_sim.add_argument("--batch", type=int, help="run this many consecutive seeds concurrently")
+    p_sim.add_argument("--batch", type=int, help="run this many consecutive seeds, one after another")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="coverage, towers and lemma monitors over a trace file")

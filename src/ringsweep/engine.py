@@ -487,7 +487,13 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceParseError(lineno, f"bad header: {exc}") from None
     if header.get("format") != "ringsweep-trace":
         raise TraceParseError(lineno, "not a ringsweep trace header")
-    meta = header["meta"]
+    # Trace reads the initial robot fields on demand, so check them here.
+    meta = header.get("meta", {})
+    missing = {"n", "algo", "robots"} - meta.keys()
+    for r in meta.get("robots", ()):
+        missing |= {"id", "gdir", "i", "nrpea", "hmpea"} - r.keys()
+    if missing:
+        raise TraceParseError(lineno, f"header lacks {sorted(missing)}")
     n = meta["n"]
     ids = [r["id"] for r in meta["robots"]]
     k = len(ids)
@@ -505,14 +511,17 @@ def read_trace(lines: Iterable[str]) -> Trace:
         robots = rec.get("robots")
         if not isinstance(robots, list) or [r.get("id") for r in robots] != ids:
             raise TraceParseError(lineno, "robot list does not match header")
-        edges.append(rec["edges"])
-        for r in robots:
-            pos.append(r["pos"])
-            gdir.append(r["gdir"] == "CW")
-            idx.append(r["i"])
-            nrpea.append(r["nrpea"])
-            hmpea.append(r["hmpea"])
-            moved.append(r["moved"])
+        try:
+            edges.append(rec["edges"])
+            for r in robots:
+                pos.append(r["pos"])
+                gdir.append(r["gdir"] == "CW")
+                idx.append(r["i"])
+                nrpea.append(r["nrpea"])
+                hmpea.append(r["hmpea"])
+                moved.append(r["moved"])
+        except KeyError as exc:
+            raise TraceParseError(lineno, f"record lacks field {exc}") from None
         expected_t += 1
     if expected_t == 0:
         raise TraceParseError(2, "trace has no round records")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -164,17 +164,12 @@ class EventualMissingSchedule(Schedule):
             raise ValueError(f"missing edge {missing_edge} outside footprint 0..{inner.n - 1}")
         if cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-        prior = forced_missing_edge(inner)
-        if prior is not None and prior != missing_edge:
-            raise ValueError(
-                "a ring schedule may force at most one eventually missing edge "
-                f"(already missing: {prior}, requested: {missing_edge})"
-            )
         self.n = inner.n
         self.inner = inner
         self.missing_edge = missing_edge
         self.cutoff = cutoff
         self._clear = ~(1 << missing_edge)
+        forced_missing_edge(self)  # rejects a second edge missing forever
 
     def mask_at(self, t: int) -> int:
         m = self.inner.mask_at(t)
@@ -193,21 +188,25 @@ class EventualMissingSchedule(Schedule):
 
 
 def forced_missing_edge(schedule: Schedule) -> int | None:
-    """The edge a schedule chain forces absent forever, if any."""
-    s = schedule
-    while True:
+    """The edge a schedule chain forces absent forever, if any.
+
+    Raises ValueError when the chain forces two or more edges absent
+    forever: such a ring is not connected-over-time.
+    """
+    edges: set[int] = set()
+    s: Schedule | None = schedule
+    while s is not None:
         if isinstance(s, EventualMissingSchedule):
-            return s.missing_edge
-        if isinstance(s, RemovalSchedule):
-            for edge, _, end in s.spec.items:
-                if end == INF:
-                    return edge
-            s = s.inner
-            continue
-        inner = getattr(s, "inner", None)
-        if inner is None:
-            return None
-        s = inner
+            edges.add(s.missing_edge)
+        elif isinstance(s, RemovalSchedule):
+            edges.update(edge for edge, _, end in s.spec.items if end == INF)
+        s = getattr(s, "inner", None)
+    if len(edges) > 1:
+        raise ValueError(
+            "a ring schedule may force at most one eventually missing edge "
+            f"(forced missing: {sorted(edges)})"
+        )
+    return next(iter(edges), None)
 
 
 @dataclass(frozen=True)
@@ -387,8 +386,3 @@ def classify_prefix(ring: EvolvingRing, horizon: int, recurrence_bound: int) -> 
         report.verdict = None
     return report
 
-
-def masks_to_array(masks: Sequence[int], n: int) -> np.ndarray:
-    """Expand bitmasks into a (rounds, n) boolean presence matrix."""
-    arr = np.asarray(masks, dtype=np.int64)
-    return (arr[:, None] >> np.arange(n)[None, :] & 1).astype(bool)

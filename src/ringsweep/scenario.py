@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .directions import Chirality, Direction
 from .engine import ALGO_PEF2, ALGO_PEF3, Trace, fuzz_initial, run_states
@@ -22,6 +23,7 @@ from .ring_model import (
     RemovalSchedule,
     Schedule,
     StaticSchedule,
+    forced_missing_edge,
 )
 from .robot_core import KNOWN_MUTATIONS, RobotState
 
@@ -174,6 +176,7 @@ def build_schedule(sc: Scenario) -> Schedule:
         raise ScenarioError({"schedule": sc.schedule})
     if sc.removals and sc.schedule != "removal_list":
         base = RemovalSchedule(base, EdgeRemovalSpec.of(sc.removals))
+    forced_missing_edge(base)  # rejects rings outside connected-over-time
     return base
 
 
@@ -204,6 +207,38 @@ def run_scenario(sc: Scenario, strategy=None) -> Trace:
     )
 
 
+def apply_cohort(
+    sc: Scenario,
+    n: int | None = None,
+    algo: str | None = None,
+    robots: list[int] | None = None,
+    records: Sequence[RobotSpec] = (),
+    seed: int | None = None,
+) -> Scenario:
+    """Apply the cohort keys (`n`, `algo`, `robots`, `robot`, `seed`).
+
+    The command line applies its cohort flags here, and scenario files
+    their `robots`/`robot` keys.  None keeps the value already in `sc`.
+    `robots` replaces the cohort with bare ids; each record then pins the
+    fields of the robot with its id, or adds that robot.  Two records for
+    one id are an error, and so (in `validate`) is an id listed twice.
+    """
+    if n is not None:
+        sc.n = n
+    if algo is not None:
+        sc.algo = algo
+    if seed is not None:
+        sc.seed = seed
+    if robots is not None:
+        sc.robots = [RobotSpec(id=i) for i in robots]
+    pins: dict[int, RobotSpec] = {}
+    for spec in records:
+        if pins.setdefault(spec.id, spec) is not spec:
+            raise ScenarioError({"robots": f"two robot records for id {spec.id}"})
+    sc.robots = [pins.pop(r.id, r) for r in sc.robots] + list(pins.values())
+    return sc
+
+
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes"):
@@ -229,6 +264,11 @@ def parse_removals(text: str) -> list[tuple[int, int, float]]:
         end = INF if end_txt == "inf" else float(int(end_txt))
         out.append((int(edge_txt), int(start_txt), end))
     return out
+
+
+def parse_robot_ids(text: str) -> list[int]:
+    """Parse a comma-separated id list such as `0,1,2`."""
+    return [int(x) for x in text.split(",") if x.strip()]
 
 
 def parse_robot_record(text: str) -> RobotSpec:
@@ -257,13 +297,40 @@ def parse_robot_record(text: str) -> RobotSpec:
     return spec
 
 
-def parse_scenario_text(text: str) -> Scenario:
-    """Parse the plain-text scenario format (one key = value per line)."""
-    sc = Scenario()
+def parse_mutations(text: str) -> frozenset[str]:
+    """Parse a comma-separated list of fault-injection flags."""
+    return frozenset(x.strip() for x in text.split(",") if x.strip())
+
+
+_SCENARIO_KEYS = {
+    "n": int,
+    "algo": str,
+    "seed": int,
+    "schedule": str,
+    "p": float,
+    "recurrence_bound": int,
+    "missing_edge": int,
+    "cutoff": int,
+    "removals": parse_removals,
+    "rounds": int,
+    "adversary": str,
+    "stall_cap": int,
+    "mutations": parse_mutations,
+}
+
+
+def parse_scenario_text(text: str, base: Scenario | None = None) -> Scenario:
+    """Parse the plain-text scenario format (one key = value per line).
+
+    A `#` starts a comment that runs to the end of its line.  The keys are
+    applied on top of `base` (default: a fresh `Scenario`).
+    """
+    sc = base if base is not None else Scenario()
+    cohort: dict = {"records": []}
     problems: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         key, eq, value = line.partition("=")
         if not eq:
@@ -272,47 +339,21 @@ def parse_scenario_text(text: str) -> Scenario:
         key = key.strip()
         value = value.strip()
         try:
-            if key == "n":
-                sc.n = int(value)
-            elif key == "algo":
-                sc.algo = value
-            elif key == "schedule":
-                sc.schedule = value
-            elif key == "seed":
-                sc.seed = int(value)
-            elif key == "p":
-                sc.p = float(value)
-            elif key == "recurrence_bound":
-                sc.recurrence_bound = int(value)
-            elif key == "missing_edge":
-                sc.missing_edge = int(value)
-            elif key == "cutoff":
-                sc.cutoff = int(value)
-            elif key == "removals":
-                sc.removals = parse_removals(value)
-            elif key == "rounds":
-                sc.rounds = int(value)
-            elif key == "adversary":
-                sc.adversary = value
-            elif key == "stall_cap":
-                sc.stall_cap = int(value)
-            elif key == "mutations":
-                sc.mutations = frozenset(x.strip() for x in value.split(",") if x.strip())
+            if key in _SCENARIO_KEYS:
+                setattr(sc, key, _SCENARIO_KEYS[key](value))
             elif key == "robots":
-                sc.robots.extend(
-                    RobotSpec(id=int(x)) for x in value.split(",") if x.strip()
-                )
+                cohort.setdefault("robots", []).extend(parse_robot_ids(value))
             elif key == "robot":
-                sc.robots.append(parse_robot_record(value))
+                cohort["records"].append(parse_robot_record(value))
             else:
                 problems[key] = f"unknown scenario key (line {lineno})"
         except (ValueError, KeyError) as exc:
             problems[key] = str(exc)
     if problems:
         raise ScenarioError(problems)
-    return sc
+    return apply_cohort(sc, **cohort)
 
 
-def parse_scenario_file(path: str) -> Scenario:
+def parse_scenario_file(path: str, base: Scenario | None = None) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+        return parse_scenario_text(fh.read(), base)

@@ -1,4 +1,4 @@
-"""Adversary strategies: schedules, confinement window, game search."""
+"""Adversary strategies: confinement window, game search, witnesses."""
 import io
 import random
 
@@ -10,7 +10,6 @@ from ringsweep import adversary as adv
 from ringsweep import analysis
 from ringsweep.directions import Chirality, Direction
 from ringsweep.engine import RunView, fuzz_initial, run_states
-from ringsweep.ring_model import EdgeClass, classify_prefix
 from ringsweep.robot_core import RobotState
 
 CW = Chirality.RIGHT_IS_CLOCKWISE
@@ -24,31 +23,6 @@ def facing_pair(n=4):
         RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True),
         RobotState.make(1, 1, L, CW, i=1, nrpea=1, hmpea=True),
     ]
-
-
-class TestScheduleBuilders:
-    def test_recurrent_random_p1_static(self):
-        ring = adv.recurrent_random(4, 1.0, 8, 1)
-        assert ring.edges_at(99) == frozenset({0, 1, 2, 3})
-
-    def test_recurrent_random_p0_pure_patching(self):
-        ring = adv.recurrent_random(4, 0.0, 3, 1)
-        for t in range(9):
-            expected = frozenset({0, 1, 2, 3}) if (t + 1) % 3 == 0 else frozenset()
-            assert ring.edges_at(t) == expected
-
-    def test_eventual_missing_classifies_connected_over_time(self):
-        ring = adv.eventual_missing(5, 2, 0, seed=9)
-        report = classify_prefix(ring, 500, 8)
-        assert report.verdict is EdgeClass.CONNECTED_OVER_TIME
-        assert report.missing_candidates == {2: 0}
-
-    def test_eventual_missing_rejects_second_edge(self):
-        ring = adv.eventual_missing(5, 2, 0, seed=9)
-        from ringsweep.ring_model import EventualMissingSchedule
-
-        with pytest.raises(ValueError, match="at most one"):
-            EventualMissingSchedule(ring.schedule, 4, 0)
 
 
 def view_for(n, positions):

@@ -11,8 +11,10 @@ from ringsweep.ring_model import (
     EvolvingRing,
     Footprint,
     RecurrentRandomSchedule,
+    RemovalSchedule,
     StaticSchedule,
     classify_prefix,
+    forced_missing_edge,
     remove,
     static_ring,
 )
@@ -142,6 +144,14 @@ def test_second_forced_missing_edge_rejected():
         EventualMissingSchedule(inner, 3, cutoff=5)
     # Re-declaring the same edge is harmless.
     EventualMissingSchedule(inner, 1, cutoff=5)
+    # The rule holds on the whole chain, removals included.
+    for chain in (
+        RemovalSchedule(inner, EdgeRemovalSpec.of([(3, 0, INF)])),
+        RemovalSchedule(StaticSchedule(5), EdgeRemovalSpec.of([(0, 0, INF), (2, 0, INF)])),
+    ):
+        with pytest.raises(ValueError, match="at most one"):
+            forced_missing_edge(chain)
+    assert forced_missing_edge(RemovalSchedule(inner, EdgeRemovalSpec.of([(1, 4, INF)]))) == 1
 
 
 def test_classify_static():
@@ -152,10 +162,14 @@ def test_classify_static():
 
 
 def test_classify_eventual_missing_candidate():
-    ring = remove(static_ring(4), EdgeRemovalSpec.of([(2, 10, INF)]))
-    report = classify_prefix(ring, 100, 8)
-    assert report.verdict is EdgeClass.CONNECTED_OVER_TIME
-    assert report.missing_candidates == {2: 10}
+    removed = remove(static_ring(4), EdgeRemovalSpec.of([(2, 10, INF)]))
+    recurrent_inner = EvolvingRing(
+        Footprint(5), EventualMissingSchedule(RecurrentRandomSchedule(5, 0.5, 8, 9), 2, cutoff=0)
+    )
+    for ring, horizon, candidates in ((removed, 100, {2: 10}), (recurrent_inner, 500, {2: 0})):
+        report = classify_prefix(ring, horizon, 8)
+        assert report.verdict is EdgeClass.CONNECTED_OVER_TIME
+        assert report.missing_candidates == candidates
 
 
 def test_classify_recurrent_with_witness():

@@ -1,5 +1,7 @@
 """Scenario files, flag precedence, CLI contracts and exit codes."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from ringsweep.scenario import (
     Scenario,
     ScenarioError,
     RobotSpec,
+    build_schedule,
     parse_removals,
     parse_robot_record,
     parse_scenario_text,
@@ -41,6 +44,15 @@ class TestScenarioParsing:
         assert (detailed.pos, detailed.dir, detailed.chirality) == (4, "L", "ccw")
         assert (detailed.i, detailed.nrpea, detailed.hmpea) == (3, 1, True)
         sc.validate()
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```\n(n = 5\n.*?)```", readme, re.S)
+        assert block, "README scenario example not found"
+        sc = parse_scenario_text(block.group(1))
+        sc.validate()
+        build_schedule(sc)
+        assert sc.schedule == "eventual_missing" and [r.id for r in sc.robots] == [0, 1, 2]
 
     def test_removals_syntax(self):
         assert parse_removals("0:[5,10];2:[3,inf]") == [(0, 5, 10.0), (2, 3, INF)]
@@ -186,17 +198,87 @@ class TestCli:
         assert "transformed" in out and "divergence" in out
 
     def test_batch_runs_per_seed_files(self, tmp_path, capsys):
+        argv = ["simulate", "--n", "4", "--robots", "0,1,2", "--schedule", "recurrent",
+                "--rounds", "300"]
         base = tmp_path / "batch"
-        code = cli.main(
-            [
-                "simulate", "--n", "4", "--robots", "0,1,2", "--schedule", "recurrent",
-                "--rounds", "300", "--seed", "10", "--batch", "3",
-                "--out", str(base),
-            ]
-        )
+        code = cli.main(argv + ["--seed", "10", "--batch", "3", "--out", str(base)])
         assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split("]")[0] for line in printed] == ["[seed 10", "[seed 11", "[seed 12"]
         for seed in (10, 11, 12):
-            assert (tmp_path / f"batch.seed{seed}.jsonl").exists()
+            single = tmp_path / f"single{seed}.jsonl"
+            assert cli.main(argv + ["--seed", str(seed), "--out", str(single)]) == 0
+            assert (tmp_path / f"batch.seed{seed}.jsonl").read_bytes() == single.read_bytes()
+
+    def test_robot_record_pins_listed_id(self, tmp_path, monkeypatch, capsys):
+        searched = []
+        real_search = cli.adv.game_search
+
+        def spy(n, robots, *args, **kwargs):
+            searched.append(robots)
+            return real_search(n, robots, *args, **kwargs)
+
+        monkeypatch.setattr(cli.adv, "game_search", spy)
+        out = tmp_path / "t.jsonl"
+        pin = ["--n", "4", "--robots", "0,1", "--robot", "id=1 pos=2"]
+        assert cli.main(["simulate", *pin, "--rounds", "20", "--out", str(out)]) in (0, 1)
+        assert [(r["id"], r["pos"]) for r in read_trace_file(str(out)).meta["robots"]][1] == (1, 2)
+        assert cli.main(["search", *pin]) == 0
+        assert [r.id for r in searched[0]] == [0, 1] and searched[0][1].position == 2
+        for cmd in ("simulate", "search"):
+            assert cli.main([cmd, *pin, "--robot", "id=1 pos=3"]) == 2
+            assert "two robot records for id 1" in capsys.readouterr().err
+            assert cli.main([cmd, "--n", "4", "--robots", "0,1,0"]) == 2
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            ["eventual_missing", "--missing-edge", "2", "--removals", "3:[0,inf]"],
+            ["removal_list", "--removals", "0:[0,inf];2:[0,inf]"],
+        ],
+        ids=["eventual_missing+removal", "two_removals"],
+    )
+    def test_two_forever_missing_edges_rejected(self, schedule, capsys):
+        argv = ["simulate", "--n", "6", "--robots", "0,1,2", "--rounds", "50", "--schedule"]
+        assert cli.main(argv + schedule) == 2
+        assert "at most one eventually missing edge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,path",
+        [
+            ("trace", (0, "meta")),
+            ("trace", (0, "meta", "robots")),
+            ("trace", (0, "meta", "robots", 0, "gdir")),
+            ("trace", (1, "edges")),
+            ("trace", (1, "robots", 0, "moved")),
+            ("witness", (0, "robots")),
+            ("witness", (0, "robots", 0, "chirality")),
+            ("witness", (1, "absent")),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_malformed_inputs_exit_2(self, kind, path, tmp_path, capsys):
+        target = tmp_path / f"{kind}.jsonl"
+        if kind == "trace":
+            argv = ["simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--out", str(target)]
+        else:
+            argv = ["search", "--n", "4", "--robots", "0,1",
+                    "--robot", "id=0 pos=0 dir=R chirality=cw i=1 nrpea=1 hmpea=true",
+                    "--robot", "id=1 pos=1 dir=L chirality=cw i=1 nrpea=1 hmpea=true",
+                    "--witness-out", str(target)]
+        assert cli.main(argv) in (0, 1)
+        records = [json.loads(line) for line in target.read_text().splitlines()]
+        obj = records
+        for step in path[:-1]:
+            obj = obj[step]
+        del obj[path[-1]]
+        target.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        if kind == "trace":
+            assert cli.main(["analyze", str(target)]) == 2
+        else:
+            assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
+        assert f"{kind} line {path[0] + 1}" in capsys.readouterr().err
 
     def test_scenario_file_with_flag_override(self, tmp_path, capsys):
         scen = tmp_path / "scenario.txt"
@@ -209,6 +291,16 @@ class TestCli:
         trace = read_trace_file(str(out))
         assert trace.rounds == 100  # flag overrides the file's 300
         assert trace.meta["scenario"]["missing_edge"] == 2
+
+    def test_explicit_seed_zero_beats_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RINGSWEEP_SEED", "5")
+        assert cli.main(["search", "--n", "5", "--robots", "0,1", "--seed", "0"]) == 0
+        assert "NotConfinable   explored states: 27" in capsys.readouterr().out
+        scen = tmp_path / "scenario.txt"
+        scen.write_text("n = 4\nrobots = 0,1\nseed = 0\nrounds = 20\n")
+        out = tmp_path / "t.jsonl"
+        assert cli.main(["simulate", "--scenario", str(scen), "--out", str(out)]) in (0, 1)
+        assert read_trace_file(str(out)).meta["seed"] == 0
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSWEEP_SEED", "77")
