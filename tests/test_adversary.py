@@ -1,4 +1,4 @@
-"""Adversary strategies: confinement window, game search, witnesses."""
+"""Adversary strategies: schedules, confinement window, game search, witnesses."""
 import io
 import random
 
@@ -10,6 +10,14 @@ from ringsweep import adversary as adv
 from ringsweep import analysis
 from ringsweep.directions import Chirality, Direction
 from ringsweep.engine import RunView, fuzz_initial, run_states
+from ringsweep.ring_model import (
+    EdgeClass,
+    EventualMissingSchedule,
+    EvolvingRing,
+    Footprint,
+    RecurrentRandomSchedule,
+    classify_prefix,
+)
 from ringsweep.robot_core import RobotState
 
 CW = Chirality.RIGHT_IS_CLOCKWISE
@@ -23,6 +31,38 @@ def facing_pair(n=4):
         RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True),
         RobotState.make(1, 1, L, CW, i=1, nrpea=1, hmpea=True),
     ]
+
+
+def recurrent_ring(n, p, bound, seed):
+    return EvolvingRing(Footprint(n), RecurrentRandomSchedule(n, p, bound, seed))
+
+
+def eventual_missing_ring(n, missing_edge, cutoff, seed):
+    inner = RecurrentRandomSchedule(n, 0.5, 8, seed)
+    return EvolvingRing(Footprint(n), EventualMissingSchedule(inner, missing_edge, cutoff))
+
+
+class TestScheduleBuilders:
+    def test_recurrent_random_p1_static(self):
+        ring = recurrent_ring(4, 1.0, 8, 1)
+        assert ring.edges_at(99) == frozenset({0, 1, 2, 3})
+
+    def test_recurrent_random_p0_pure_patching(self):
+        ring = recurrent_ring(4, 0.0, 3, 1)
+        for t in range(9):
+            expected = frozenset({0, 1, 2, 3}) if (t + 1) % 3 == 0 else frozenset()
+            assert ring.edges_at(t) == expected
+
+    def test_eventual_missing_classifies_connected_over_time(self):
+        ring = eventual_missing_ring(5, 2, 0, seed=9)
+        report = classify_prefix(ring, 500, 8)
+        assert report.verdict is EdgeClass.CONNECTED_OVER_TIME
+        assert report.missing_candidates == {2: 0}
+
+    def test_eventual_missing_rejects_second_edge(self):
+        ring = eventual_missing_ring(5, 2, 0, seed=9)
+        with pytest.raises(ValueError, match="at most one"):
+            EventualMissingSchedule(ring.schedule, 4, 0)
 
 
 def view_for(n, positions):
