@@ -23,13 +23,15 @@ interval.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .engine import ALGO_PEF2, ALGO_PEF3, Trace
+from .ring_model import eventual_missing_description
 from .words import transformed_length
 
 
@@ -224,6 +226,19 @@ def coverage(trace: Trace, suffix_start: int, window: int | None = None) -> Cove
     )
 
 
+def _coherence_rounds(trace: Trace) -> list[int | None]:
+    """Coherence round of every robot column, computed once per trace."""
+    out = trace._cache.get("coherence_rounds")
+    if out is None:
+        adj = trace.adjacent()
+        out = [
+            int(first) + 1 if active else None
+            for first, active in zip(adj.argmax(axis=0), adj.any(axis=0))
+        ]
+        trace._cache["coherence_rounds"] = out
+    return out
+
+
 def coherence_round(trace: Trace, robot_id: int) -> int | None:
     """First round from which the robot's bookkeeping is trustworthy.
 
@@ -235,16 +250,12 @@ def coherence_round(trace: Trace, robot_id: int) -> int | None:
     cols = {rid: c for c, rid in enumerate(trace.robot_ids)}
     if robot_id not in cols:
         raise ValueError(f"robot {robot_id} not present in trace")
-    col = cols[robot_id]
-    adj = trace.adjacent()[:, col]
-    if not adj.any():
-        return None
-    return int(np.argmax(adj)) + 1
+    return _coherence_rounds(trace)[cols[robot_id]]
 
 
 def trace_t_max(trace: Trace) -> int | None:
     """Max coherence round over all robots; None if some robot never activates."""
-    rounds = [coherence_round(trace, rid) for rid in trace.robot_ids]
+    rounds = _coherence_rounds(trace)
     if any(r is None for r in rounds):
         return None
     return max(rounds)  # type: ignore[arg-type]
@@ -288,6 +299,7 @@ class _TraceView:
         )
         self.more = (self.here > self.nrpea_look) & ~self.hmpea_look & self.adjacent
         self.ells = np.array([transformed_length(rid) for rid in trace.robot_ids])
+        self.coherence = _coherence_rounds(trace)
 
 
 def _monitor_coherence(v: _TraceView, out: list[Violation]) -> None:
@@ -345,7 +357,9 @@ def _monitor_movement(v: _TraceView, out: list[Violation]) -> None:
                 f"direction present={bool(expected_move[tt, rr])}",
             )
         )
-    delta = np.where(t.gdir_cw, 1, -1)
+    # int16 like the positions: (H, k) int64 temporaries here would set the
+    # memory peak of a long trace's analysis.
+    delta = np.where(t.gdir_cw, np.int16(1), np.int16(-1))
     want = np.where(t.moved, (t.pos + delta) % v.n, t.pos)
     after = v.cpos[1:]
     for tt, rr in zip(*np.nonzero(want != after)):
@@ -397,13 +411,8 @@ def _monitor_observation(v: _TraceView, out: list[Violation]) -> None:
 
 
 def _member_coherence(v: _TraceView, cols: Sequence[int]) -> int | None:
-    starts = []
-    for c in cols:
-        adj = v.adjacent[:, c]
-        if not adj.any():
-            return None
-        starts.append(int(np.argmax(adj)) + 1)
-    return max(starts)
+    starts = [v.coherence[c] for c in cols]
+    return None if None in starts else max(starts)
 
 
 def _monitor_tower_agreement(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
@@ -480,14 +489,17 @@ def _monitor_tower_formation(
     v: _TraceView, towers: list[Tower], algo: str, out: list[Violation]
 ) -> None:
     """New k-long-lived towers cannot arise; 3-towers need a 2-long-lived parent."""
-    two_long = [t for t in towers if t.size == 2 and t.long_lived is True]
+    # 2-long-lived intervals by start, with the latest end reached so far:
+    # some interval covers time t iff the latest end among those starting
+    # by t reaches t.
+    two_long = sorted((t.t_start, t.t_end) for t in towers if t.size == 2 and t.long_lived is True)
+    starts = [a for a, _ in two_long]
+    reach = list(accumulate((b for _, b in two_long), max))
     if v.k == 3:
         for tower in towers:
             if tower.size == 3 and tower.t_start >= 1:
-                parent = any(
-                    t2.t_start <= tower.t_start - 1 <= t2.t_end for t2 in two_long
-                )
-                if not parent:
+                j = bisect_right(starts, tower.t_start - 1)
+                if not (j and reach[j - 1] >= tower.t_start - 1):
                     out.append(
                         Violation(
                             "three-tower-needs-two-long-lived",
@@ -620,9 +632,12 @@ def sentinel_visitor_report(trace: Trace) -> SentinelReport:
     missing establishment round is a finding (the horizon may simply be
     too short), not a failure.
     """
-    sched = trace.meta.get("schedule", {})
-    if sched.get("kind") != "eventual_missing":
+    sched = eventual_missing_description(trace.meta.get("schedule"))
+    if sched is None:
         raise ValueError("trace schedule declares no eventual missing edge")
+    missing = {"missing_edge", "cutoff"} - sched.keys()
+    if missing:
+        raise ValueError(f"eventual_missing schedule lacks {sorted(missing)}")
     e = int(sched["missing_edge"])
     cutoff = int(sched["cutoff"])
     v = _TraceView(trace)

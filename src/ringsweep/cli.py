@@ -15,6 +15,7 @@ from dataclasses import replace
 from . import adversary as adv
 from . import analysis
 from .engine import read_trace_file, write_trace_file
+from .ring_model import eventual_missing_description
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -151,7 +152,7 @@ def cmd_analyze(args) -> int:
     print(f"towers: {len(towers)} ({long_lived} long-lived)")
     coh = {rid: analysis.coherence_round(trace, rid) for rid in trace.robot_ids}
     print(f"coherence rounds: {coh}")
-    if trace.meta.get("schedule", {}).get("kind") == "eventual_missing":
+    if eventual_missing_description(trace.meta.get("schedule")) is not None:
         rep = analysis.sentinel_visitor_report(trace)
         print(
             f"sentinels at edge {rep.missing_edge}: established="

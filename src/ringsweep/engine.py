@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .directions import Chirality, Direction, GlobalDirection, to_global
-from .ring_model import Schedule
+from .ring_model import Schedule, eventual_missing_description
 from .words import transformed_length
 from .robot_core import (
     KNOWN_MUTATIONS,
@@ -43,6 +44,20 @@ from .robot_core import (
 
 ALGO_PEF3 = "pef3"
 ALGO_PEF2 = "pef2"
+
+# Rounds per numpy conversion when recording or reading a trace, and per
+# `write` call when writing one.
+_CHUNK_ROUNDS = 4096
+# The per-round columns of a Trace, in the order they are recorded.
+_COLUMNS = (
+    ("edges", np.int64),
+    ("pos", np.int16),
+    ("gdir_cw", bool),
+    ("idx", np.int64),
+    ("nrpea", np.int64),
+    ("hmpea", bool),
+    ("moved", bool),
+)
 
 
 @dataclass(frozen=True)
@@ -353,22 +368,30 @@ def run_states(
     rec_nr: list[int] = []
     rec_hm: list[int] = []
     rec_mv: list[int] = []
+    recorded = (rec_edges, rec_pos, rec_gdir, rec_idx, rec_nr, rec_hm, rec_mv)
+    chunks: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
     view = RunView(n, (1 << n) - 1, pos, dir_right, chir_cw, idx, nrpea, hmpea)
 
-    for t in range(rounds):
-        view.pos = pos
-        mask = strategy.choose_mask(t, view)
-        rec_edges.append(mask)
-        rec_pos.extend(pos)
-        pos, gdir_out, moved_out = _round_kernel(
-            n, pef3, mask, pos, dir_right, chir_cw, idx, nrpea, hmpea,
-            tids, ells, literal, freeze, skip,
-        )
-        rec_gdir.extend(gdir_out)
-        rec_idx.extend(idx)
-        rec_nr.extend(nrpea)
-        rec_hm.extend(hmpea)
-        rec_mv.extend(moved_out)
+    # The record lists are emptied into numpy every `_CHUNK_ROUNDS` rounds,
+    # so a long run never holds a whole trace as Python lists.
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
+            view.pos = pos
+            mask = strategy.choose_mask(t, view)
+            rec_edges.append(mask)
+            rec_pos.extend(pos)
+            pos, gdir_out, moved_out = _round_kernel(
+                n, pef3, mask, pos, dir_right, chir_cw, idx, nrpea, hmpea,
+                tids, ells, literal, freeze, skip,
+            )
+            rec_gdir.extend(gdir_out)
+            rec_idx.extend(idx)
+            rec_nr.extend(nrpea)
+            rec_hm.extend(hmpea)
+            rec_mv.extend(moved_out)
+        for column, chunk, (_, dtype) in zip(recorded, chunks, _COLUMNS):
+            chunk.append(np.array(column, dtype=dtype))
+            column.clear()
 
     meta = {
         "n": n,
@@ -391,18 +414,16 @@ def run_states(
     }
     if meta_extra:
         meta.update(meta_extra)
-    shape = (rounds, k)
-    return Trace(
-        meta=meta,
-        edges=np.array(rec_edges, dtype=np.int64),
-        pos=np.array(rec_pos, dtype=np.int16).reshape(shape),
-        gdir_cw=np.array(rec_gdir, dtype=bool).reshape(shape),
-        idx=np.array(rec_idx, dtype=np.int64).reshape(shape),
-        nrpea=np.array(rec_nr, dtype=np.int64).reshape(shape),
-        hmpea=np.array(rec_hm, dtype=bool).reshape(shape),
-        moved=np.array(rec_mv, dtype=bool).reshape(shape),
-        final_pos=np.array(pos, dtype=np.int16),
-    )
+    return Trace(meta=meta, final_pos=np.array(pos, dtype=np.int16), **_joined(chunks, k))
+
+
+def _joined(chunks: Sequence[list[np.ndarray]], k: int) -> dict[str, np.ndarray]:
+    """Trace columns from flat per-chunk arrays listed in `_COLUMNS` order."""
+    out = {}
+    for (name, _), parts in zip(_COLUMNS, chunks):
+        column = np.concatenate(parts)
+        out[name] = column if name == "edges" else column.reshape(-1, k)
+    return out
 
 
 def fuzz_initial(
@@ -440,15 +461,68 @@ def fuzz_initial(
     return states
 
 
+def _dumps(obj) -> str:
+    """The one JSON encoding of trace files: compact, keys sorted."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _dense_rank(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks in 0..size-1 that order the values of `col`, and `size`.
+
+    A column whose values span fewer integers than it has entries is
+    ranked by its offset from the minimum, without sorting.
+    """
+    lo, hi = int(col.min()), int(col.max())
+    if hi - lo < col.size:
+        # Wrapping int64 arithmetic still lands on the true offset here.
+        return col.astype(np.int64) - lo, hi - lo + 1
+    values, rank = np.unique(col, return_inverse=True)
+    return rank, int(values.size)
+
+
+def _distinct_rows(columns: Sequence[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code each row by its values across `columns`.
+
+    Returns the code of every row (equal codes for equal rows, numbered
+    0.. in value order) and the first row holding each code.  Per-column
+    ranks are combined in mixed radix, and the running code is re-ranked
+    before a product could leave int64, so any int64 values are safe.
+    """
+    code = np.zeros(rows, dtype=np.int64)
+    count = 1
+    for col in columns:
+        rank, size = _dense_rank(col)
+        if count * size > 2**63:
+            code, count = _dense_rank(code)
+        code = code * size + rank
+        count *= size
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    return code, first
+
+
 def write_trace(trace: Trace, out: IO[str]) -> None:
-    """Line-delimited trace: one metadata header, then one record per round."""
-    header = {"format": "ringsweep-trace", "version": 1, "meta": trace.meta}
-    out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    """Line-delimited trace: one metadata header, then one record per round.
+
+    Every line is compact JSON with sorted keys.  A long trace repeats few
+    robot states, so each distinct state of a robot is encoded once, and
+    the rounds are emitted from one line template in chunks of
+    `_CHUNK_ROUNDS`.
+    """
+    out.write(_dumps({"format": "ringsweep-trace", "version": 1, "meta": trace.meta}) + "\n")
     ids = trace.robot_ids
     h, k = trace.pos.shape
-    for t in range(h):
-        robots = [
-            {
+    if h == 0:
+        return
+    robot_codes, fragments = [], []
+    for r in range(k):
+        code, first = _distinct_rows(
+            [trace.pos[:, r], trace.gdir_cw[:, r], trace.idx[:, r], trace.nrpea[:, r],
+             trace.hmpea[:, r], trace.moved[:, r]],
+            h,
+        )
+        robot_codes.append(code)
+        fragments.append([
+            _dumps({
                 "id": ids[r],
                 "pos": int(trace.pos[t, r]),
                 "gdir": "CW" if trace.gdir_cw[t, r] else "CCW",
@@ -456,11 +530,19 @@ def write_trace(trace: Trace, out: IO[str]) -> None:
                 "nrpea": int(trace.nrpea[t, r]),
                 "hmpea": bool(trace.hmpea[t, r]),
                 "moved": bool(trace.moved[t, r]),
-            }
-            for r in range(k)
-        ]
-        record = {"t": t, "edges": int(trace.edges[t]), "robots": robots}
-        out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            })
+            for t in first.tolist()
+        ])
+    line = '{"edges":%d,"robots":[' + ",".join(["%s"] * k) + '],"t":%d}\n'
+    for start in range(0, h, _CHUNK_ROUNDS):
+        stop = min(start + _CHUNK_ROUNDS, h)
+        rounds = zip(
+            trace.edges[start:stop].tolist(),
+            *(map(frags.__getitem__, code[start:stop].tolist())
+              for frags, code in zip(fragments, robot_codes)),
+            range(start, stop),
+        )
+        out.write("".join(map(line.__mod__, rounds)))
 
 
 def write_trace_file(trace: Trace, path: str) -> None:
@@ -474,8 +556,113 @@ class TraceParseError(ValueError):
         self.line_number = line_number
 
 
+# JSON's own integer grammar, so that "007" is left to json.loads to reject.
+_JSON_INT = "-?(?:0|[1-9][0-9]*)"
+_JSON_BOOL = "true|false"
+_FLAGS = {"true": True, "false": False, "CW": True, "CCW": False}
+
+
+def _robot_pattern(rid, group: str) -> str:
+    """A robot object exactly as `write_trace` emits it for robot `rid`.
+
+    `group` opens each of its six fields: "(" captures them, in key order
+    (gdir, hmpea, i, moved, nrpea, pos), and "(?:" does not.
+    """
+    alternatives = ("CW|CCW", _JSON_BOOL, _JSON_INT, _JSON_BOOL, _JSON_INT, _JSON_INT)
+    gdir, hmpea, i, moved, nrpea, pos = (group + alt + ")" for alt in alternatives)
+    return (
+        r'\{"gdir":"' + gdir + r'","hmpea":' + hmpea + r',"i":' + i + r',"id":'
+        + re.escape(_dumps(rid)) + r',"moved":' + moved + r',"nrpea":' + nrpea + r',"pos":' + pos
+        + r"\}"
+    )
+
+
+def _record_pattern(ids: Sequence) -> re.Pattern:
+    """Exactly the record line `write_trace` emits for robots `ids`.
+
+    Groups: edges, the object text of each robot, then t.
+    """
+    robots = ",".join("(" + _robot_pattern(rid, "(?:") + ")" for rid in ids)
+    return re.compile(
+        r'\{"edges":(' + _JSON_INT + r'),"robots":\[' + robots + r'\],"t":(' + _JSON_INT + r")\}\n?"
+    )
+
+
+class _RoundColumns:
+    """Round records in file order, converted to numpy columns in chunks.
+
+    A canonical line arrives as the strings its pattern captured, any other
+    line as the values json.loads found.  Pending rows are converted when
+    `_CHUNK_ROUNDS` of them gather or the kind of line changes, so memory
+    stays bounded and rows keep their order.
+    """
+
+    def __init__(self, ids: Sequence):
+        self.k = len(ids)
+        self.width = 2 + self.k
+        self.robot_fields = [re.compile(_robot_pattern(rid, "(")).fullmatch for rid in ids]
+        self.texts: list[str] = []
+        self.values: list[list] = [[] for _ in _COLUMNS]
+        self.chunks: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
+
+    def add_texts(self, groups: tuple[str, ...]) -> None:
+        if self.values[0]:
+            self.convert_values()
+        self.texts.extend(groups)
+        if len(self.texts) >= _CHUNK_ROUNDS * self.width:
+            self.convert_texts()
+
+    def add_record(self, edges, robots: list[dict]) -> None:
+        if self.texts:
+            self.convert_texts()
+        fields = [(r["pos"], r["gdir"] == "CW", r["i"], r["nrpea"], r["hmpea"], r["moved"])
+                  for r in robots]
+        self.values[0].append(edges)
+        for column, found in zip(self.values[1:], zip(*fields)):
+            column.extend(found)
+        if len(self.values[0]) >= _CHUNK_ROUNDS:
+            self.convert_values()
+
+    def convert_values(self) -> None:
+        for column, chunk, (_, dtype) in zip(self.values, self.chunks, _COLUMNS):
+            chunk.append(np.array(column, dtype=dtype))
+            column.clear()
+
+    def convert_texts(self) -> None:
+        """A chunk repeats few robot objects: each distinct one is parsed once."""
+        texts, w = self.texts, self.width
+        rows = len(texts) // w
+        columns = [np.empty((rows, self.k), dtype=dtype) for _, dtype in _COLUMNS[1:]]
+        for r, robot_fields in enumerate(self.robot_fields):
+            objects = texts[1 + r :: w]
+            distinct = list(dict.fromkeys(objects))
+            code = {text: j for j, text in enumerate(distinct)}
+            row_code = np.fromiter(map(code.__getitem__, objects), np.intp, rows)
+            gdir, hmpea, i, moved, nrpea, pos = zip(*(robot_fields(t).groups() for t in distinct))
+            for column, found in zip(columns, (pos, gdir, i, nrpea, hmpea, moved)):
+                if column.dtype == bool:
+                    found = [_FLAGS[text] for text in found]
+                column[:, r] = np.array(found, dtype=column.dtype)[row_code]
+        self.chunks[0].append(np.array(texts[0::w], dtype=np.int64))
+        for chunk, column in zip(self.chunks[1:], columns):
+            chunk.append(column.ravel())
+        texts.clear()
+
+    def columns(self) -> dict[str, np.ndarray]:
+        if self.texts:
+            self.convert_texts()
+        if self.values[0]:
+            self.convert_values()
+        return _joined(self.chunks, self.k)
+
+
 def read_trace(lines: Iterable[str]) -> Trace:
-    """Parse the documented line-delimited format back into a Trace."""
+    """Parse the documented line-delimited format back into a Trace.
+
+    Lines exactly as `write_trace` emits them are matched by one pattern
+    built from the header's robot ids; any other JSON layout of the same
+    objects goes through json.loads and reads back the same.
+    """
     it = iter(enumerate(lines, start=1))
     try:
         lineno, first = next(it)
@@ -492,57 +679,50 @@ def read_trace(lines: Iterable[str]) -> Trace:
     missing = {"n", "algo", "robots"} - meta.keys()
     for r in meta.get("robots", ()):
         missing |= {"id", "gdir", "i", "nrpea", "hmpea"} - r.keys()
+    # The sentinel report reads these, so a declared missing edge needs them.
+    declared = eventual_missing_description(meta.get("schedule"))
+    if declared is not None:
+        missing |= {"missing_edge", "cutoff"} - declared.keys()
     if missing:
         raise TraceParseError(lineno, f"header lacks {sorted(missing)}")
     n = meta["n"]
     ids = [r["id"] for r in meta["robots"]]
-    k = len(ids)
-    edges, pos, gdir, idx, nrpea, hmpea, moved = [], [], [], [], [], [], []
+    fullmatch = _record_pattern(ids).fullmatch
+    rows = _RoundColumns(ids)
+    t_group = rows.width  # after edges and one group per robot
     expected_t = 0
     for lineno, line in it:
-        if not line.strip():
+        m = fullmatch(line)
+        if m is not None:
+            t = int(m[t_group])
+        elif not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(lineno, f"bad record: {exc}") from None
-        if rec.get("t") != expected_t:
-            raise TraceParseError(lineno, f"expected round {expected_t}, got {rec.get('t')}")
+        else:
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(lineno, f"bad record: {exc}") from None
+            t = rec.get("t")
+        if t != expected_t:
+            raise TraceParseError(lineno, f"expected round {expected_t}, got {t}")
+        expected_t += 1
+        if m is not None:
+            rows.add_texts(m.groups())
+            continue
         robots = rec.get("robots")
         if not isinstance(robots, list) or [r.get("id") for r in robots] != ids:
             raise TraceParseError(lineno, "robot list does not match header")
         try:
-            edges.append(rec["edges"])
-            for r in robots:
-                pos.append(r["pos"])
-                gdir.append(r["gdir"] == "CW")
-                idx.append(r["i"])
-                nrpea.append(r["nrpea"])
-                hmpea.append(r["hmpea"])
-                moved.append(r["moved"])
+            rows.add_record(rec["edges"], robots)
         except KeyError as exc:
             raise TraceParseError(lineno, f"record lacks field {exc}") from None
-        expected_t += 1
     if expected_t == 0:
         raise TraceParseError(2, "trace has no round records")
-    h = expected_t
-    shape = (h, k)
-    pos_arr = np.array(pos, dtype=np.int16).reshape(shape)
-    gdir_arr = np.array(gdir, dtype=bool).reshape(shape)
-    moved_arr = np.array(moved, dtype=bool).reshape(shape)
+    cols = rows.columns()
+    pos_arr, gdir_arr, moved_arr = cols["pos"], cols["gdir_cw"], cols["moved"]
     delta = np.where(gdir_arr[-1], 1, -1)
     final_pos = np.where(moved_arr[-1], (pos_arr[-1] + delta) % n, pos_arr[-1]).astype(np.int16)
-    return Trace(
-        meta=meta,
-        edges=np.array(edges, dtype=np.int64),
-        pos=pos_arr,
-        gdir_cw=gdir_arr,
-        idx=np.array(idx, dtype=np.int64).reshape(shape),
-        nrpea=np.array(nrpea, dtype=np.int64).reshape(shape),
-        hmpea=np.array(hmpea, dtype=bool).reshape(shape),
-        moved=moved_arr,
-        final_pos=final_pos,
-    )
+    return Trace(meta=meta, final_pos=final_pos, **cols)
 
 
 def read_trace_file(path: str) -> Trace:

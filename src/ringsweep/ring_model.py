@@ -187,6 +187,15 @@ class EventualMissingSchedule(Schedule):
         return d
 
 
+def eventual_missing_description(description) -> dict | None:
+    """The `eventual_missing` layer of a `Schedule.describe()` chain, if any."""
+    while isinstance(description, dict):
+        if description.get("kind") == "eventual_missing":
+            return description
+        description = description.get("inner")
+    return None
+
+
 def forced_missing_edge(schedule: Schedule) -> int | None:
     """The edge a schedule chain forces absent forever, if any.
 
@@ -262,17 +271,15 @@ class RemovalSchedule(Schedule):
         return [m & ~self._removed_mask(t) for t, m in enumerate(out)]
 
     def describe(self) -> dict:
-        d = self.inner.describe()
-        d.update(
-            {
-                "kind": "removal_list",
-                "removals": [
-                    [edge, start, "inf" if end == INF else end]
-                    for edge, start, end in self.spec.items
-                ],
-            }
-        )
-        return d
+        # The inner description is nested, not merged, so that the kind of
+        # the schedule underneath (an eventual missing edge, say) survives.
+        return {
+            "kind": "removal_list",
+            "removals": [
+                [edge, start, "inf" if end == INF else end] for edge, start, end in self.spec.items
+            ],
+            "inner": self.inner.describe(),
+        }
 
 
 @dataclass

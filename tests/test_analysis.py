@@ -1,5 +1,7 @@
 """Towers, coverage, coherence, monitors, sentinel report."""
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,6 +314,57 @@ class TestMonitors:
         analysis._monitor_tower_formation(view, with_parent, "pef3", out)
         assert {v.monitor for v in out} == {"no-new-three-long-lived"}
 
+    def test_three_tower_parent_check_matches_brute_force(self):
+        # The interval sweep against the direct scan over all 2-long-lived
+        # towers, on random tower lists and on mutated detected ones.
+        rng = random.Random(12)
+        view = SimpleNamespace(k=3)
+
+        def brute(towers):
+            two_long = [t for t in towers if t.size == 2 and t.long_lived is True]
+            return sorted(
+                t.t_start
+                for t in towers
+                if t.size == 3 and t.t_start >= 1
+                and not any(p.t_start <= t.t_start - 1 <= p.t_end for p in two_long)
+            )
+
+        def swept(towers):
+            out = []
+            analysis._monitor_tower_formation(view, towers, "pef3", out)
+            return sorted(v.round for v in out if v.monitor == "three-tower-needs-two-long-lived")
+
+        def random_tower(size):
+            start = rng.randrange(0, 60)
+            kind = rng.choice([True, False, None])
+            tower = self._tower(tuple(range(size)), tuple(range(size)), start,
+                                start + rng.randrange(0, 8), long_lived=kind is True)
+            return replace(tower, long_lived=kind)
+
+        cases = [
+            [random_tower(rng.choice((2, 2, 3))) for _ in range(rng.randrange(0, 25))]
+            for _ in range(300)
+        ]
+        states = fuzz_initial(4, [0, 1, 2], random.Random(1))
+        trace = run_states(4, "pef3", states, 3000, schedule=RecurrentRandomSchedule(4, 0.5, 8, 1))
+        detected = analysis.detect_towers(trace)
+        assert brute(detected) == [] and any(t.size == 3 for t in detected)
+        for _ in range(100):
+            mutated = []
+            for t in detected:
+                if t.size == 2 and rng.random() < 0.1:
+                    continue  # a 2-long-lived parent goes missing
+                if rng.random() < 0.05:
+                    shift = rng.choice((-1, 1))
+                    t = replace(t, t_start=max(0, t.t_start + shift), t_end=t.t_end + shift)
+                mutated.append(t)
+            cases.append(mutated)
+        flagged = 0
+        for towers in cases:
+            assert swept(towers) == brute(towers)
+            flagged += bool(brute(towers))
+        assert flagged > 50
+
     def test_pef2_no_new_two_long_lived_monitor(self):
         sched = RemovalSchedule(
             StaticSchedule(4), EdgeRemovalSpec.of([(e, 1, INF) for e in range(4)])
@@ -350,6 +403,23 @@ class TestSentinelReport:
         assert report.established_round is not None
         assert report.meetings, "visitor never met a sentinel"
         assert all(p >= 1 for p in report.periods)
+
+    def test_declared_edge_under_removals_is_found(self):
+        inner = EventualMissingSchedule(RecurrentRandomSchedule(5, 0.5, 8, 17), 2, 0)
+        sched = RemovalSchedule(inner, EdgeRemovalSpec.of([(0, 5, 10)]))
+        states = fuzz_initial(5, [0, 1, 2], random.Random(17))
+        trace = run_states(5, "pef3", states, 3000, schedule=sched,
+                           meta_extra={"schedule": sched.describe()})
+        assert trace.meta["schedule"]["kind"] == "removal_list"
+        report = analysis.sentinel_visitor_report(trace)
+        assert report.missing_edge == 2 and report.cutoff == 0
+
+    @pytest.mark.parametrize("key", ["missing_edge", "cutoff"])
+    def test_declaration_without_edge_or_cutoff_rejected(self, key):
+        trace = run_missing_edge(n=5, seed=17, rounds=200, edge=2)
+        del trace.meta["schedule"][key]
+        with pytest.raises(ValueError, match=f"lacks \\['{key}'\\]"):
+            analysis.sentinel_visitor_report(trace)
 
     def test_static_trace_rejected(self):
         states = spread_robots(5, [0, 1, 2])

@@ -1,13 +1,19 @@
 """Round semantics, trace recording, determinism, fuzzer, file format."""
 import io
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsweep.directions import Chirality, Direction
 from ringsweep.engine import (
     Configuration,
+    Trace,
     TraceParseError,
+    _distinct_rows,
     build_snapshot,
     fuzz_initial,
     read_trace,
@@ -215,3 +221,166 @@ def test_read_trace_reports_line_numbers():
         read_trace(lines)
     with pytest.raises(TraceParseError, match="empty"):
         read_trace([])
+    # The round-order check holds for canonical lines as for any other.
+    lines = buf.getvalue().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    with pytest.raises(TraceParseError, match="line 3: expected round 1, got 2"):
+        read_trace(lines)
+    lines[3] = json.dumps(json.loads(lines[3]))
+    with pytest.raises(TraceParseError, match="line 3: expected round 1, got 2"):
+        read_trace(lines)
+    # Only JSON is read: a leading zero is not a number.
+    lines = buf.getvalue().splitlines()
+    lines[2] = lines[2].replace('"edges":', '"edges":0', 1)
+    with pytest.raises(TraceParseError, match="line 3: bad record"):
+        read_trace(lines)
+
+
+# -- trace IO against the per-record writer --------------------------------
+
+TRACE_COLUMNS = ("edges", "pos", "gdir_cw", "idx", "nrpea", "hmpea", "moved", "final_pos")
+
+
+def oracle_write_trace(trace, out):
+    """The format spelled out record by record: one json.dumps per round."""
+    header = {"format": "ringsweep-trace", "version": 1, "meta": trace.meta}
+    out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    ids = trace.robot_ids
+    h, k = trace.pos.shape
+    for t in range(h):
+        robots = [
+            {
+                "id": ids[r],
+                "pos": int(trace.pos[t, r]),
+                "gdir": "CW" if trace.gdir_cw[t, r] else "CCW",
+                "i": int(trace.idx[t, r]),
+                "nrpea": int(trace.nrpea[t, r]),
+                "hmpea": bool(trace.hmpea[t, r]),
+                "moved": bool(trace.moved[t, r]),
+            }
+            for r in range(k)
+        ]
+        record = {"t": t, "edges": int(trace.edges[t]), "robots": robots}
+        out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def written(trace, writer=write_trace):
+    buf = io.StringIO()
+    writer(trace, buf)
+    return buf.getvalue()
+
+
+def assert_same_trace(back, trace):
+    for name in TRACE_COLUMNS:
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert (got == want).all(), name
+    assert back.meta == trace.meta
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    k=st.integers(1, 3),
+    algo=st.sampled_from(["pef3", "pef2"]),
+    seed=st.integers(0, 2**32),
+    rounds=st.integers(1, 300),
+    p=st.floats(0.0, 1.0),
+    wild=st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)),
+                  min_size=3, max_size=3),
+    pin=st.booleans(),
+)
+def test_writer_matches_oracle_and_reads_back(n, k, algo, seed, rounds, p, wild, pin):
+    # fuzz_initial already draws out-of-range read indices and nrpea
+    # values; `wild` pins far larger ones, negative included.
+    overrides = {r: {"i": i, "nrpea": nr} for r, (i, nr) in enumerate(wild)} if pin else None
+    states = fuzz_initial(n, list(range(k)), random.Random(seed), overrides)
+    sched = RecurrentRandomSchedule(n, p, 4, seed)
+    trace = run_states(n, algo, states, rounds, schedule=sched,
+                       meta_extra={"schedule": sched.describe()})
+    text = written(trace)
+    assert text == written(trace, oracle_write_trace)
+    assert_same_trace(read_trace(io.StringIO(text)), trace)
+
+
+def test_extreme_values_round_trip():
+    # Values no run produces, chosen to break any encoding that multiplies
+    # raw field values together.
+    rng = np.random.default_rng(3)
+    h, k = 50, 2
+    big = np.iinfo(np.int64)
+    idx = rng.integers(big.min, big.max, size=(h, k), dtype=np.int64, endpoint=True)
+    idx[0] = [2**40, big.max]
+    idx[1] = [big.min, -(2**40)]
+    nrpea = rng.integers(-(2**62), 2**62, size=(h, k), dtype=np.int64)
+    nrpea[2] = [-1, -(2**63)]
+    meta = {"n": 5, "algo": "pef3", "robots": [
+        {"id": rid, "gdir": "CW", "i": 2**40, "nrpea": -3, "hmpea": True} for rid in (7, 11)
+    ]}
+    pos = rng.integers(0, 5, size=(h, k)).astype(np.int16)
+    gdir = rng.random((h, k)) < 0.5
+    moved = rng.random((h, k)) < 0.5
+    step_ = np.where(gdir[-1], 1, -1)
+    trace = Trace(
+        meta=meta,
+        edges=rng.integers(0, 2**62, size=h, dtype=np.int64),
+        pos=pos,
+        gdir_cw=gdir,
+        idx=idx,
+        nrpea=nrpea,
+        hmpea=rng.random((h, k)) < 0.5,
+        moved=moved,
+        final_pos=np.where(moved[-1], (pos[-1] + step_) % 5, pos[-1]).astype(np.int16),
+    )
+    text = written(trace)
+    assert text == written(trace, oracle_write_trace)
+    assert_same_trace(read_trace(text.splitlines()), trace)
+
+
+def test_distinct_rows_codes_rows_by_value():
+    # Four all-distinct int64 columns over 70k rows: the mixed-radix code
+    # would pass 2**63 at the fourth column unless it is re-ranked first.
+    rng = np.random.default_rng(5)
+    rows = 70_000
+    columns = [rng.integers(-(2**63), 2**63 - 1, size=rows, dtype=np.int64) for _ in range(4)]
+    columns[1][::2] = columns[1][1::2]  # repeated values as well
+    columns.append(rng.random(rows) < 0.5)
+    code, first = _distinct_rows(columns, rows)
+    keys = list(zip(*(c.tolist() for c in columns)))
+    rank = {key: j for j, key in enumerate(sorted(set(keys)))}
+    assert code.tolist() == [rank[key] for key in keys]
+    first_row = {}
+    for row, key in enumerate(keys):
+        first_row.setdefault(rank[key], row)
+    assert first.tolist() == [first_row[j] for j in range(len(rank))]
+
+
+def test_any_json_layout_reads_back():
+    # Default json.dumps spacing, shuffled keys, blank lines, and canonical
+    # lines in between, across several conversion chunks.
+    states = fuzz_initial(5, [0, 1, 2], random.Random(8))
+    sched = RecurrentRandomSchedule(5, 0.5, 6, 8)
+    trace = run_states(5, "pef3", states, 9_000, schedule=sched)
+    lines = written(trace).splitlines()
+    rng = random.Random(1)
+
+    def shuffled(obj):
+        if isinstance(obj, dict):
+            items = list(obj.items())
+            rng.shuffle(items)
+            return {key: shuffled(value) for key, value in items}
+        if isinstance(obj, list):
+            return [shuffled(value) for value in obj]
+        return obj
+
+    mixed = [lines[0]]
+    for j, line in enumerate(lines[1:]):
+        if (j // 700) % 2 or j % 13 == 0:
+            line = json.dumps(shuffled(json.loads(line)))
+        if j % 1000 == 0:
+            mixed.append("   ")
+        mixed.append(line)
+    assert sum(line not in lines for line in mixed) > 4_000
+    assert_same_trace(read_trace(mixed), trace)
+    relaid = [json.dumps(shuffled(json.loads(line)), indent=None) for line in lines]
+    assert_same_trace(read_trace(relaid), trace)

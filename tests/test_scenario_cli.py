@@ -34,6 +34,13 @@ robot = id=2 pos=4 dir=L chirality=ccw i=3 nrpea=1 hmpea=true
 """
 
 
+def readme_scenario() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```\n(n = 5\n.*?)```", readme, re.S)
+    assert block, "README scenario example not found"
+    return block.group(1)
+
+
 class TestScenarioParsing:
     def test_full_file(self):
         sc = parse_scenario_text(SCENARIO_TEXT)
@@ -46,13 +53,22 @@ class TestScenarioParsing:
         sc.validate()
 
     def test_readme_example_parses(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = re.search(r"```\n(n = 5\n.*?)```", readme, re.S)
-        assert block, "README scenario example not found"
-        sc = parse_scenario_text(block.group(1))
+        sc = parse_scenario_text(readme_scenario())
         sc.validate()
         build_schedule(sc)
         assert sc.schedule == "eventual_missing" and [r.id for r in sc.robots] == [0, 1, 2]
+
+    def test_readme_example_keeps_sentinels_under_removals(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.txt"
+        scen.write_text(readme_scenario())
+        out = tmp_path / "t.jsonl"
+        assert cli.main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+        schedule = read_trace_file(str(out)).meta["schedule"]
+        assert schedule["kind"] == "removal_list"
+        assert schedule["inner"]["kind"] == "eventual_missing"
+        capsys.readouterr()
+        cli.main(["analyze", str(out)])
+        assert "sentinels at edge 2: established=" in capsys.readouterr().out
 
     def test_removals_syntax(self):
         assert parse_removals("0:[5,10];2:[3,inf]") == [(0, 5, 10.0), (2, 3, INF)]
@@ -249,6 +265,7 @@ class TestCli:
             ("trace", (0, "meta")),
             ("trace", (0, "meta", "robots")),
             ("trace", (0, "meta", "robots", 0, "gdir")),
+            ("trace", (0, "meta", "schedule", "missing_edge")),
             ("trace", (1, "edges")),
             ("trace", (1, "robots", 0, "moved")),
             ("witness", (0, "robots")),
@@ -261,6 +278,8 @@ class TestCli:
         target = tmp_path / f"{kind}.jsonl"
         if kind == "trace":
             argv = ["simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--out", str(target)]
+            if "schedule" in path:
+                argv += ["--schedule", "eventual_missing", "--missing-edge", "1"]
         else:
             argv = ["search", "--n", "4", "--robots", "0,1",
                     "--robot", "id=0 pos=0 dir=R chirality=cw i=1 nrpea=1 hmpea=true",
