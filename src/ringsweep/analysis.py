@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, combinations
 from typing import IO, Iterable, Sequence
 
@@ -70,13 +71,11 @@ class Tower:
         return "long_lived" if self.long_lived else "short_lived"
 
 
-def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [start, end] (inclusive) runs of True in a 1-d bool array."""
-    if not mask.any():
-        return []
-    padded = np.concatenate([[False], mask, [False]])
-    flips = np.flatnonzero(padded[1:] != padded[:-1])
-    return [(int(flips[j]), int(flips[j + 1] - 1)) for j in range(0, len(flips), 2)]
+def _true_runs(mask: np.ndarray) -> np.ndarray:
+    """(R, 2) inclusive [start, end] of the maximal runs of True in a 1-d bool array."""
+    runs = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
+    runs[:, 1] -= 1
+    return runs
 
 
 def detect_towers(trace: Trace) -> list[Tower]:
@@ -90,54 +89,40 @@ def detect_towers(trace: Trace) -> list[Tower]:
     """
     if trace.rounds == 0:
         return []
-    positions = trace.config_positions()
-    horizon = trace.rounds  # last configuration time
-    k = positions.shape[1]
-    ids = trace.robot_ids
-    colocated: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(2, k + 1):
-        for cols in combinations(range(k), size):
-            eq = (positions[:, list(cols)] == positions[:, [cols[0]]]).all(axis=1)
-            colocated[cols] = eq
+    v = _view_of(trace)
     towers: list[Tower] = []
-    for cols, eq in colocated.items():
-        for (a, b) in _true_runs(eq):
-            extensible = any(
-                set(other) > set(cols) and colocated[other][a : b + 1].all()
-                for other in colocated
-                if len(other) > len(cols)
-            )
-            if extensible:
-                continue
-            open_ended = b == horizon
-            # Rounds a..b-1 are inside the interval; for a closed tower,
-            # round b is the breaking round.
-            inside = np.arange(a, min(b, trace.rounds))
-            if inside.size:
-                nodes = positions[inside, cols[0]]
-                act = (
-                    (trace.edges[inside] >> nodes & 1)
-                    | (trace.edges[inside] >> (nodes - 1) % trace.n & 1)
-                ).astype(bool)
-                first_act = int(inside[np.argmax(act)]) if act.any() else None
-            else:
-                first_act = None
-            if first_act is not None:
-                long_lived: bool | None = True
-            else:
-                long_lived = None if open_ended else False
-            towers.append(
-                Tower(
-                    member_ids=tuple(ids[c] for c in cols),
-                    member_cols=cols,
-                    t_start=a,
-                    t_end=b,
-                    nodes=positions[a : b + 1, cols[0]],
-                    open_ended=open_ended,
-                    long_lived=long_lived,
-                    first_activation=first_act,
+    for size in range(2, v.k + 1):
+        for cols in combinations(range(v.k), size):
+            s0, m = cols[0], sum(1 << c for c in cols)
+            together = v.together[:, s0]
+            runs = _true_runs((together & m) == m)
+            # The AND of s0's co-location masks over a run is the largest
+            # set co-located with s0 through the whole run, so the member
+            # set cannot be extended exactly when that AND is m.  reduceat
+            # ANDs the half-open [a, b) (b may be the last row); row b
+            # joins after.
+            whole = np.bitwise_and.reduceat(together, runs.ravel())[0::2] & together[runs[:, 1]]
+            runs = runs[whole == m]
+            # s0 stands on the tower's node, so its activations are the
+            # tower's; v.h stands for none.  Rounds a..b-1 are inside the
+            # interval, and for a closed tower round b is the breaking round.
+            acts = v.activations[s0]
+            firsts = np.append(acts, v.h)[np.searchsorted(acts, runs[:, 0])]
+            member_ids = tuple(v.robot_ids[c] for c in cols)
+            for (a, b), first in zip(runs.tolist(), firsts.tolist()):
+                active = first < b
+                towers.append(
+                    Tower(
+                        member_ids=member_ids,
+                        member_cols=cols,
+                        t_start=a,
+                        t_end=b,
+                        nodes=v.cpos[a : b + 1, s0],
+                        open_ended=b == v.h,
+                        long_lived=True if active else (None if b == v.h else False),
+                        first_activation=first if active else None,
+                    )
                 )
-            )
     towers.sort(key=lambda t: (t.t_start, t.t_end, t.member_ids))
     return towers
 
@@ -226,19 +211,6 @@ def coverage(trace: Trace, suffix_start: int, window: int | None = None) -> Cove
     )
 
 
-def _coherence_rounds(trace: Trace) -> list[int | None]:
-    """Coherence round of every robot column, computed once per trace."""
-    out = trace._cache.get("coherence_rounds")
-    if out is None:
-        adj = trace.adjacent()
-        out = [
-            int(first) + 1 if active else None
-            for first, active in zip(adj.argmax(axis=0), adj.any(axis=0))
-        ]
-        trace._cache["coherence_rounds"] = out
-    return out
-
-
 def coherence_round(trace: Trace, robot_id: int) -> int | None:
     """First round from which the robot's bookkeeping is trustworthy.
 
@@ -250,15 +222,12 @@ def coherence_round(trace: Trace, robot_id: int) -> int | None:
     cols = {rid: c for c, rid in enumerate(trace.robot_ids)}
     if robot_id not in cols:
         raise ValueError(f"robot {robot_id} not present in trace")
-    return _coherence_rounds(trace)[cols[robot_id]]
+    return _view_of(trace).coherence[cols[robot_id]]
 
 
 def trace_t_max(trace: Trace) -> int | None:
     """Max coherence round over all robots; None if some robot never activates."""
-    rounds = _coherence_rounds(trace)
-    if any(r is None for r in rounds):
-        return None
-    return max(rounds)  # type: ignore[arg-type]
+    return _view_of(trace).t_max
 
 
 @dataclass(frozen=True)
@@ -269,142 +238,184 @@ class Violation:
 
 
 class _TraceView:
-    """Shared precomputed arrays for the monitors."""
+    """A trace's columns and the Look-phase arrays derived from them, each
+    computed the first time it is read.
+
+    The view holds the trace's columns, not the trace, so `_view_of` can
+    keep it in `trace._cache` without a reference cycle.
+    """
 
     def __init__(self, trace: Trace):
-        self.trace = trace
-        self.n = trace.n
-        self.h = trace.rounds
-        self.k = trace.pos.shape[1]
-        self.pos = trace.pos
-        self.cpos = trace.config_positions()
-        self.dir_look = trace.gdir_entering()  # (H, k) global-cw at Look
-        self.dir_at = np.vstack([self.dir_look, trace.gdir_cw[-1:]])  # (H+1, k)
-        self.nrpea_look = trace.nrpea_entering()
-        self.hmpea_look = trace.hmpea_entering()
-        self.idx_look = trace.idx_entering()
-        self.here = trace.robots_here()
-        self.adjacent = trace.adjacent()
-        cw = trace.edge_present(trace.pos, 0)
-        ccw = trace.edge_present(trace.pos, -1)
-        self.cur_look = np.where(self.dir_look, cw, ccw)
-        self.opp_look = np.where(self.dir_look, ccw, cw)
-        self.cur_post = np.where(trace.gdir_cw, cw, ccw)
-        self.stuck = (
-            (self.here > 1)
-            & (self.here == self.nrpea_look)
-            & ~self.cur_look
-            & self.opp_look
-            & ~self.hmpea_look
+        self.n, self.h, self.k = trace.n, trace.rounds, trace.pos.shape[1]
+        self.robot_ids, self.initial = trace.robot_ids, trace.meta["robots"]
+        self.edges, self.pos, self.gdir_cw, self.moved = (
+            trace.edges, trace.pos, trace.gdir_cw, trace.moved
         )
-        self.more = (self.here > self.nrpea_look) & ~self.hmpea_look & self.adjacent
-        self.ells = np.array([transformed_length(rid) for rid in trace.robot_ids])
-        self.coherence = _coherence_rounds(trace)
+        self.idx, self.nrpea, self.hmpea = trace.idx, trace.nrpea, trace.hmpea
+        self.cpos = trace.config_positions()
+
+    def _entering(self, column: np.ndarray, key: str, convert=None) -> np.ndarray:
+        """(H, k) value held at Look: the header's in round 0, then the previous round's."""
+        first = [convert(r[key]) if convert else r[key] for r in self.initial]
+        return np.vstack([np.array(first, dtype=column.dtype)[None, :], column[:-1]])
+
+    @cached_property
+    def dir_look(self) -> np.ndarray:
+        return self._entering(self.gdir_cw, "gdir", "CW".__eq__)
+
+    @cached_property
+    def nrpea_look(self) -> np.ndarray:
+        return self._entering(self.nrpea, "nrpea")
+
+    @cached_property
+    def hmpea_look(self) -> np.ndarray:
+        return self._entering(self.hmpea, "hmpea")
+
+    @cached_property
+    def idx_look(self) -> np.ndarray:
+        return self._entering(self.idx, "i")
+
+    @cached_property
+    def together(self) -> np.ndarray:
+        """(H+1, k) bitmask of the robots on robot r's node at configuration time t."""
+        out = np.zeros(self.cpos.shape, dtype=np.min_scalar_type((1 << self.k) - 1))
+        for c in range(self.k):
+            out |= (self.cpos == self.cpos[:, c : c + 1]).astype(out.dtype) << c
+        return out
+
+    @cached_property
+    def here(self) -> np.ndarray:
+        """(H, k) robots on each robot's node at Look, in the smallest dtype holding k."""
+        out = np.zeros(self.pos.shape, dtype=np.min_scalar_type(self.k))
+        for c in range(self.k):
+            out += self.pos == self.pos[:, c : c + 1]
+        return out
+
+    @cached_property
+    def _present(self) -> np.ndarray:
+        """(H, n) presence of edge e in round t."""
+        out = np.empty((self.h, self.n), dtype=bool)
+        for e in range(self.n):
+            out[:, e] = self.edges >> e & 1
+        return out
+
+    @cached_property
+    def cw(self) -> np.ndarray:
+        """(H, k) presence of each robot's clockwise edge; `ccw` likewise."""
+        return np.take_along_axis(self._present, self.pos, axis=1)
+
+    @cached_property
+    def ccw(self) -> np.ndarray:
+        return np.take_along_axis(self._present, (self.pos - 1) % self.n, axis=1)
+
+    @cached_property
+    def adjacent(self) -> np.ndarray:
+        """(H, k) edge-activated flag; the one place edge activation is derived."""
+        return self.cw | self.ccw
+
+    @cached_property
+    def activations(self) -> list[np.ndarray]:
+        """Edge-activated rounds of every robot column, ascending."""
+        return [np.flatnonzero(self.adjacent[:, c]) for c in range(self.k)]
+
+    @cached_property
+    def coherence(self) -> list[int | None]:
+        """Coherence round of every robot column (see `coherence_round`)."""
+        return [int(acts[0]) + 1 if acts.size else None for acts in self.activations]
+
+    @cached_property
+    def t_max(self) -> int | None:
+        return None if None in self.coherence else max(self.coherence)
+
+    @cached_property
+    def stuck(self) -> np.ndarray:
+        """(H, k) "stuck in the same direction with others" at Look."""
+        ahead = np.where(self.dir_look, self.cw, self.ccw)
+        behind = np.where(self.dir_look, self.ccw, self.cw)
+        here = self.here
+        return (here > 1) & (here == self.nrpea_look) & ~ahead & behind & ~self.hmpea_look
+
+    @cached_property
+    def more(self) -> np.ndarray:
+        """(H, k) "was stuck, and more robots arrived" at Look."""
+        return (self.here > self.nrpea_look) & ~self.hmpea_look & self.adjacent
+
+
+def _view_of(trace: Trace) -> _TraceView:
+    """The one view of `trace`, made on first use."""
+    view = trace._cache.get("view")
+    if view is None:
+        view = trace._cache["view"] = _TraceView(trace)
+    return view
+
+
+def _report(out: list[Violation], monitor: str, bad: np.ndarray, detail) -> None:
+    """One violation per true cell (round, robot column) of `bad`."""
+    out.extend(Violation(monitor, int(t), detail(t, r)) for t, r in zip(*np.nonzero(bad)))
 
 
 def _monitor_coherence(v: _TraceView, out: list[Violation]) -> None:
     """Bookkeeping refreshed exactly at edge-activated rounds (and only there)."""
-    t = v.trace
-    act = v.adjacent
-    bad_nr = act & (t.nrpea != v.here)
-    bad_hm = act & (t.hmpea != t.moved)
-    for tt, rr in zip(*np.nonzero(bad_nr)):
-        out.append(
-            Violation(
-                "coherence",
-                int(tt),
-                f"robot {t.robot_ids[rr]}: nrpea {int(t.nrpea[tt, rr])} != "
-                f"robots on node {int(v.here[tt, rr])} at edge-activated round",
-            )
-        )
-    for tt, rr in zip(*np.nonzero(bad_hm)):
-        out.append(
-            Violation(
-                "coherence",
-                int(tt),
-                f"robot {t.robot_ids[rr]}: hmpea {bool(t.hmpea[tt, rr])} != "
-                f"moved {bool(t.moved[tt, rr])} at edge-activated round",
-            )
-        )
-    frozen = ~act
+    act, ids = v.adjacent, v.robot_ids
+    _report(out, "coherence", act & (v.nrpea != v.here), lambda t, r: (
+        f"robot {ids[r]}: nrpea {int(v.nrpea[t, r])} != "
+        f"robots on node {int(v.here[t, r])} at edge-activated round"
+    ))
+    _report(out, "coherence", act & (v.hmpea != v.moved), lambda t, r: (
+        f"robot {ids[r]}: hmpea {bool(v.hmpea[t, r])} != "
+        f"moved {bool(v.moved[t, r])} at edge-activated round"
+    ))
     changed = (
-        (t.nrpea != v.nrpea_look)
-        | (t.hmpea != v.hmpea_look)
-        | (t.idx != v.idx_look)
-        | (t.gdir_cw != v.dir_look)
-        | t.moved
+        (v.nrpea != v.nrpea_look)
+        | (v.hmpea != v.hmpea_look)
+        | (v.idx != v.idx_look)
+        | (v.gdir_cw != v.dir_look)
+        | v.moved
     )
-    for tt, rr in zip(*np.nonzero(frozen & changed)):
-        out.append(
-            Violation(
-                "frozen-between-activations",
-                int(tt),
-                f"robot {t.robot_ids[rr]} changed state or moved without an adjacent edge",
-            )
-        )
+    _report(out, "frozen-between-activations", ~act & changed, lambda t, r: (
+        f"robot {ids[r]} changed state or moved without an adjacent edge"
+    ))
 
 
 def _monitor_movement(v: _TraceView, out: list[Violation]) -> None:
     """Moves are +-1 across a present edge in the pointed global direction."""
-    t = v.trace
-    expected_move = v.cur_post.astype(bool)
-    for tt, rr in zip(*np.nonzero(t.moved != expected_move)):
-        out.append(
-            Violation(
-                "movement-legality",
-                int(tt),
-                f"robot {t.robot_ids[rr]}: moved={bool(t.moved[tt, rr])} but edge in pointed "
-                f"direction present={bool(expected_move[tt, rr])}",
-            )
-        )
+    ids = v.robot_ids
+    expected_move = np.where(v.gdir_cw, v.cw, v.ccw)
+    _report(out, "movement-legality", v.moved != expected_move, lambda t, r: (
+        f"robot {ids[r]}: moved={bool(v.moved[t, r])} but edge in pointed "
+        f"direction present={bool(expected_move[t, r])}"
+    ))
     # int16 like the positions: (H, k) int64 temporaries here would set the
     # memory peak of a long trace's analysis.
-    delta = np.where(t.gdir_cw, np.int16(1), np.int16(-1))
-    want = np.where(t.moved, (t.pos + delta) % v.n, t.pos)
+    delta = np.where(v.gdir_cw, np.int16(1), np.int16(-1))
+    want = np.where(v.moved, (v.pos + delta) % v.n, v.pos)
     after = v.cpos[1:]
-    for tt, rr in zip(*np.nonzero(want != after)):
-        out.append(
-            Violation(
-                "movement-legality",
-                int(tt),
-                f"robot {t.robot_ids[rr]}: position {int(after[tt, rr])} inconsistent with "
-                f"move flag/direction",
-            )
-        )
+    _report(out, "movement-legality", want != after, lambda t, r: (
+        f"robot {ids[r]}: position {int(after[t, r])} inconsistent with move flag/direction"
+    ))
 
 
 def _monitor_index_advance(v: _TraceView, out: list[Violation]) -> None:
     """The read index advances round-robin, exactly on stuck-together rounds."""
-    t = v.trace
-    changed = t.idx != v.idx_look
-    expected = v.idx_look % v.ells[None, :] + 1
-    bad_value = changed & (t.idx != expected)
-    for tt, rr in zip(*np.nonzero(bad_value)):
-        out.append(
-            Violation(
-                "index-advance",
-                int(tt),
-                f"robot {t.robot_ids[rr]}: read index {int(v.idx_look[tt, rr])} -> "
-                f"{int(t.idx[tt, rr])}, round-robin expects {int(expected[tt, rr])}",
-            )
-        )
-    mismatch = changed != v.stuck
-    for tt, rr in zip(*np.nonzero(mismatch)):
-        out.append(
-            Violation(
-                "index-advance",
-                int(tt),
-                f"robot {t.robot_ids[rr]}: index change={bool(changed[tt, rr])} but "
-                f"stuck-in-same-direction={bool(v.stuck[tt, rr])}",
-            )
-        )
+    ids = v.robot_ids
+    changed = v.idx != v.idx_look
+    ells = np.array([transformed_length(rid) for rid in ids])
+    expected = v.idx_look % ells[None, :] + 1
+    _report(out, "index-advance", changed & (v.idx != expected), lambda t, r: (
+        f"robot {ids[r]}: read index {int(v.idx_look[t, r])} -> "
+        f"{int(v.idx[t, r])}, round-robin expects {int(expected[t, r])}"
+    ))
+    _report(out, "index-advance", changed != v.stuck, lambda t, r: (
+        f"robot {ids[r]}: index change={bool(changed[t, r])} but "
+        f"stuck-in-same-direction={bool(v.stuck[t, r])}"
+    ))
 
 
 def _monitor_observation(v: _TraceView, out: list[Violation]) -> None:
     """With three robots, at least two share a global direction each round."""
     if v.k != 3:
         return
-    cw_count = v.trace.gdir_cw.sum(axis=1)
+    cw_count = v.gdir_cw.sum(axis=1)
     share = np.maximum(cw_count, v.k - cw_count)
     for tt in np.nonzero(share < 2)[0]:
         out.append(Violation("observation-two-share-direction", int(tt), "pigeonhole broken"))
@@ -415,31 +426,25 @@ def _member_coherence(v: _TraceView, cols: Sequence[int]) -> int | None:
     return None if None in starts else max(starts)
 
 
+def _split_rounds(values: np.ndarray, lo: int, hi: int, cols: Sequence[int]) -> list[int]:
+    """Rounds lo..hi at which the member columns `cols` of `values` differ."""
+    part = values[lo : hi + 1, list(cols)]
+    return (lo + np.flatnonzero((part != part[:, :1]).any(axis=1))).tolist()
+
+
 def _monitor_tower_agreement(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
     """Long-lived tower members agree on the global direction at every Look."""
+    dir_at = np.vstack([v.dir_look, v.gdir_cw[-1:]])  # configuration times 0..H
     for tower in towers:
-        if tower.long_lived is not True:
-            continue
         coh = _member_coherence(v, tower.member_cols)
-        if coh is None:
+        if tower.long_lived is not True or coh is None:
             continue
-        lo = max(tower.t_start, coh)
-        hi = min(tower.t_end, v.h)
-        if lo > hi:
-            continue
-        cols = list(tower.member_cols)
-        dirs = v.dir_at[lo : hi + 1, cols]
-        disagree = dirs != dirs[:, [0]]
-        rows = np.nonzero(disagree.any(axis=1))[0]
-        for row in rows:
-            out.append(
-                Violation(
-                    "tower-direction-agreement",
-                    int(lo + row),
-                    f"long-lived tower {tower.member_ids} members consider different "
-                    f"global directions",
-                )
-            )
+        lo, hi = max(tower.t_start, coh), min(tower.t_end, v.h)
+        out.extend(
+            Violation("tower-direction-agreement", t, f"long-lived tower {tower.member_ids} "
+                      f"members consider different global directions")
+            for t in _split_rounds(dir_at, lo, hi, tower.member_cols)
+        )
 
 
 def _monitor_tower_predicates(
@@ -451,38 +456,21 @@ def _monitor_tower_predicates(
     for tower in towers:
         if tower.long_lived is not True:
             continue
-        inside = np.arange(tower.t_start, min(tower.t_end, v.h))
-        if not inside.size:
+        cols = tower.member_cols
+        acts = v.activations[cols[0]]
+        lo, hi = np.searchsorted(acts, [tower.t_start, min(tower.t_end, v.h)])
+        if hi - lo < activations_needed:
             continue
-        cols = list(tower.member_cols)
-        node = v.cpos[inside, cols[0]]
-        act_rounds = inside[
-            (
-                (v.trace.edges[inside] >> node & 1)
-                | (v.trace.edges[inside] >> (node - 1) % v.n & 1)
-            ).astype(bool)
-        ]
-        if act_rounds.size < activations_needed:
-            continue
-        start = int(act_rounds[activations_needed - 1]) + 1
+        start = int(acts[lo + activations_needed - 1]) + 1
         stop = min(tower.t_end, v.h - 1)
-        if start > stop:
-            continue
-        rng = np.arange(start, stop + 1)
-        stuck = v.stuck[rng][:, cols]
-        bad = stuck != stuck[:, [0]]
+        split = set(_split_rounds(v.stuck, start, stop, cols))
         if algo == ALGO_PEF3:
-            more = v.more[rng][:, cols]
-            bad |= more != more[:, [0]]
-        for row in np.nonzero(bad.any(axis=1))[0]:
-            out.append(
-                Violation(
-                    "tower-predicate-agreement",
-                    int(rng[row]),
-                    f"long-lived tower {tower.member_ids} members disagree on a "
-                    f"direction-changing predicate",
-                )
-            )
+            split.update(_split_rounds(v.more, start, stop, cols))
+        out.extend(
+            Violation("tower-predicate-agreement", t, f"long-lived tower {tower.member_ids} "
+                      f"members disagree on a direction-changing predicate")
+            for t in sorted(split)
+        )
 
 
 def _monitor_tower_formation(
@@ -495,54 +483,37 @@ def _monitor_tower_formation(
     two_long = sorted((t.t_start, t.t_end) for t in towers if t.size == 2 and t.long_lived is True)
     starts = [a for a, _ in two_long]
     reach = list(accumulate((b for _, b in two_long), max))
-    if v.k == 3:
-        for tower in towers:
-            if tower.size == 3 and tower.t_start >= 1:
-                j = bisect_right(starts, tower.t_start - 1)
-                if not (j and reach[j - 1] >= tower.t_start - 1):
-                    out.append(
-                        Violation(
-                            "three-tower-needs-two-long-lived",
-                            tower.t_start,
-                            f"3-robot tower formed at {tower.t_start} without a 2-long-lived "
-                            f"tower present at {tower.t_start - 1}",
-                        )
-                    )
-            if tower.size == 3 and tower.long_lived is True and tower.t_start >= 1:
-                out.append(
-                    Violation(
-                        "no-new-three-long-lived",
-                        tower.t_start,
-                        f"3-long-lived tower {tower.member_ids} begins at {tower.t_start} "
-                        f"after a configuration without one",
-                    )
-                )
+    for tower in towers:
+        a = tower.t_start
+        if v.k != 3 or tower.size != 3 or a < 1:
+            continue
+        j = bisect_right(starts, a - 1)
+        if not (j and reach[j - 1] >= a - 1):
+            out.append(Violation("three-tower-needs-two-long-lived", a, f"3-robot tower formed "
+                                 f"at {a} without a 2-long-lived tower present at {a - 1}"))
+        if tower.long_lived is True:
+            out.append(Violation("no-new-three-long-lived", a, f"3-long-lived tower "
+                                 f"{tower.member_ids} begins at {a} after a configuration "
+                                 f"without one"))
     if algo == ALGO_PEF2 and v.k == 2:
-        for tower in towers:
-            if tower.size == 2 and tower.long_lived is True and tower.t_start >= 1:
-                out.append(
-                    Violation(
-                        "no-new-two-long-lived",
-                        tower.t_start,
-                        f"2-long-lived tower begins at {tower.t_start} after a configuration "
-                        f"without one",
-                    )
-                )
+        out.extend(
+            Violation("no-new-two-long-lived", t.t_start, f"2-long-lived tower begins at "
+                      f"{t.t_start} after a configuration without one")
+            for t in towers
+            if t.size == 2 and t.long_lived is True and t.t_start >= 1
+        )
 
 
 def _monitor_ring_visited(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
     """All nodes are visited between consecutive qualifying 2-long-lived towers."""
-    if v.k != 3:
+    if v.k != 3 or v.t_max is None:
         return
     if any(t.size == 3 and t.long_lived is True for t in towers):
-        return
-    t_max = trace_t_max(v.trace)
-    if t_max is None:
         return
     qualifying = [
         t
         for t in towers
-        if t.size == 2 and t.long_lived is True and not t.open_ended and t.t_start >= t_max
+        if t.size == 2 and t.long_lived is True and not t.open_ended and t.t_start >= v.t_max
     ]
     qualifying.sort(key=lambda t: t.t_start)
     for i in range(len(qualifying) - 1):
@@ -556,47 +527,32 @@ def _monitor_ring_visited(v: _TraceView, towers: list[Tower], out: list[Violatio
         seen = np.unique(v.cpos[lo : hi + 1])
         if seen.size < v.n:
             missing = sorted(set(range(v.n)) - set(int(x) for x in seen))
-            out.append(
-                Violation(
-                    "ring-visited-between-towers",
-                    nxt.t_start,
-                    f"nodes {missing} not visited in [{lo},{hi}] between consecutive "
-                    f"2-long-lived towers",
-                )
-            )
+            out.append(Violation("ring-visited-between-towers", nxt.t_start, f"nodes {missing} "
+                                 f"not visited in [{lo},{hi}] between consecutive 2-long-lived "
+                                 f"towers"))
 
 
 def _monitor_break_bound(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
     """A stuck long-lived tower must break within the word-divergence budget."""
-    ids = v.trace.robot_ids
+    ids = v.robot_ids
     for tower in towers:
         if tower.long_lived is not True:
             continue
         cols = list(tower.member_cols)
         hi = min(tower.t_end, v.h - 1)
-        rng = np.arange(tower.t_start, hi + 1)
-        if not rng.size:
-            continue
-        all_stuck = v.stuck[rng][:, cols].all(axis=1)
-        calls = int(all_stuck.sum())
+        calls = int(v.stuck[tower.t_start : hi + 1, cols].all(axis=1).sum())
         cap = min(
             2 * transformed_length(ids[a]) * transformed_length(ids[b])
             for a, b in combinations(cols, 2)
         )
         if calls > cap:
-            out.append(
-                Violation(
-                    "tower-break-bound",
-                    tower.t_start,
-                    f"tower {tower.member_ids} saw {calls} synchronized stuck rounds, "
-                    f"bound is {cap}",
-                )
-            )
+            out.append(Violation("tower-break-bound", tower.t_start, f"tower {tower.member_ids} "
+                                 f"saw {calls} synchronized stuck rounds, bound is {cap}"))
 
 
 def monitor_lemmas(trace: Trace, towers: list[Tower] | None = None) -> list[Violation]:
     """Run every applicable invariant monitor over the trace."""
-    v = _TraceView(trace)
+    v = _view_of(trace)
     if towers is None:
         towers = detect_towers(trace)
     out: list[Violation] = []
@@ -640,7 +596,7 @@ def sentinel_visitor_report(trace: Trace) -> SentinelReport:
         raise ValueError(f"eventual_missing schedule lacks {sorted(missing)}")
     e = int(sched["missing_edge"])
     cutoff = int(sched["cutoff"])
-    v = _TraceView(trace)
+    v = _view_of(trace)
     a, b = e, (e + 1) % trace.n
     ok_a = ((v.pos == a) & v.dir_look).any(axis=1)
     ok_b = ((v.pos == b) & ~v.dir_look).any(axis=1)
@@ -658,7 +614,7 @@ def sentinel_visitor_report(trace: Trace) -> SentinelReport:
         return report
     for endpoint in (a, b):
         at = ((v.pos == endpoint).sum(axis=1) >= 2) & (np.arange(trace.rounds) >= established)
-        for (start, _end) in _true_runs(at):
+        for start in _true_runs(at)[:, 0].tolist():
             report.meetings.append((start, endpoint))
     report.meetings.sort()
     report.periods = [

@@ -30,6 +30,7 @@ from .scenario import (
 )
 from .words import (
     complement,
+    divergence_cap,
     divergence_rounds,
     max_common_factor_len,
     transform_identifier,
@@ -204,18 +205,13 @@ def cmd_words(args) -> int:
     if args.transform is not None:
         print(transform_identifier(args.transform))
         did_something = True
-    if args.lcf is not None:
-        a, b = args.lcf
-        u, v = transform_identifier(a), transform_identifier(b)
-        bound = len(u) + len(v)
-        print(max_common_factor_len(u, v, bound))
-        did_something = True
-    if args.lcf_complement is not None:
-        a, b = args.lcf_complement
-        u, v = transform_identifier(a), complement(transform_identifier(b))
-        bound = len(u) + len(v)
-        print(max_common_factor_len(u, v, bound))
-        did_something = True
+    for pair, flip in ((args.lcf, False), (args.lcf_complement, True)):
+        if pair is not None:
+            u, v = transform_identifier(pair[0]), transform_identifier(pair[1])
+            if flip:
+                v = complement(v)
+            print(max_common_factor_len(u, v, len(u) + len(v)))
+            did_something = True
     if args.divergence is not None:
         a, b = args.divergence
         chir_b = (
@@ -223,8 +219,6 @@ def cmd_words(args) -> int:
             if args.chirality == "same"
             else Chirality.RIGHT_IS_COUNTER_CLOCKWISE
         )
-        from .words import divergence_cap
-
         d = divergence_rounds(
             a, 1, Chirality.RIGHT_IS_CLOCKWISE, b, 1, chir_b, divergence_cap(a, b)
         )
@@ -246,8 +240,6 @@ def cmd_words(args) -> int:
             print(f"{a}\t" + "\t".join(row))
         print("\nsynchronized draws to divergence (same chirality, start index 1)")
         print("\t" + "\t".join(map(str, ids)))
-        from .words import divergence_cap
-
         for a in ids:
             row = []
             for b in ids:
@@ -260,7 +252,7 @@ def cmd_words(args) -> int:
             print(f"{a}\t" + "\t".join(row))
         did_something = True
     if not did_something:
-        print("nothing to do: pass --transform, --lcf, --divergence or --table", file=sys.stderr)
+        print("nothing to do: pass --transform, --lcf, --lcf-complement, --divergence or --table", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -204,6 +204,9 @@ class Trace:
     configuration-time positions therefore has `rounds + 1` entries, with
     the final one in `final_pos`.  Robot state columns are post-Compute,
     which is the phase all predicates and tower properties talk about.
+    Arrays derived from the columns are kept in `_cache` (the
+    configuration positions here, the Look-phase view in `analysis`), so a
+    copy with a replaced column starts from an empty one.
     """
 
     meta: dict
@@ -239,46 +242,6 @@ class Trace:
         if out is None:
             out = np.vstack([self.pos, self.final_pos[None, :]])
             self._cache["config_positions"] = out
-        return out
-
-    def _initial_column(self, key: str, dtype) -> np.ndarray:
-        return np.array([r[key] for r in self.meta["robots"]], dtype=dtype)
-
-    def initial_gdir_cw(self) -> np.ndarray:
-        return np.array([r["gdir"] == "CW" for r in self.meta["robots"]], dtype=bool)
-
-    def gdir_entering(self) -> np.ndarray:
-        """(H, k) global-clockwise flag each robot holds at Look of round t."""
-        return np.vstack([self.initial_gdir_cw()[None, :], self.gdir_cw[:-1]])
-
-    def nrpea_entering(self) -> np.ndarray:
-        return np.vstack([self._initial_column("nrpea", np.int64)[None, :], self.nrpea[:-1]])
-
-    def hmpea_entering(self) -> np.ndarray:
-        return np.vstack([self._initial_column("hmpea", bool)[None, :], self.hmpea[:-1]])
-
-    def idx_entering(self) -> np.ndarray:
-        return np.vstack([self._initial_column("i", np.int64)[None, :], self.idx[:-1]])
-
-    def robots_here(self) -> np.ndarray:
-        """(H, k) co-location count per robot at Look of round t."""
-        out = self._cache.get("robots_here")
-        if out is None:
-            out = (self.pos[:, :, None] == self.pos[:, None, :]).sum(axis=2)
-            self._cache["robots_here"] = out
-        return out
-
-    def edge_present(self, nodes: np.ndarray, offset: int) -> np.ndarray:
-        """Presence of the cw (offset 0) or ccw (offset -1) edge of `nodes`."""
-        e = (nodes + offset) % self.n
-        return (self.edges[:, None] >> e & 1).astype(bool)
-
-    def adjacent(self) -> np.ndarray:
-        """(H, k) edge-activated flag per robot per round."""
-        out = self._cache.get("adjacent")
-        if out is None:
-            out = self.edge_present(self.pos, 0) | self.edge_present(self.pos, -1)
-            self._cache["adjacent"] = out
         return out
 
 
@@ -556,19 +519,58 @@ class TraceParseError(ValueError):
         self.line_number = line_number
 
 
-# JSON's own integer grammar, so that "007" is left to json.loads to reject.
-_JSON_INT = "-?(?:0|[1-9][0-9]*)"
+# JSON's own integer grammar, so that "007" is left to json.loads to reject,
+# cut at 18 digits, which int64 holds: a longer integer is left to json.loads
+# and the range checks.
+_JSON_NAT = "0|[1-9][0-9]{0,17}"
+_JSON_INT = "-?(?:" + _JSON_NAT + ")"
 _JSON_BOOL = "true|false"
 _FLAGS = {"true": True, "false": False, "CW": True, "CCW": False}
+# A robot object's fields in column order.
+_ROBOT_KEYS = ("pos", "gdir", "i", "nrpea", "hmpea", "moved")
+# Edge masks are int64, so a trace's ring has at most 63 edges.
+_MAX_N = 63
 
 
-def _robot_pattern(rid, group: str) -> str:
-    """A robot object exactly as `write_trace` emits it for robot `rid`.
+def _value_checks(n: int) -> dict:
+    """What each record value must be on a ring of n nodes, and its test."""
+
+    def within(lo: int, hi: int):
+        return lambda x: type(x) is int and lo <= x <= hi
+
+    int64 = ("an int64", within(-(2**63), 2**63 - 1))
+    boolean = ("a boolean", lambda x: type(x) is bool)
+    return {
+        "edges": ("a mask in int64", within(0, 2**63 - 1)),
+        "pos": (f"a node 0..{n - 1}", within(0, n - 1)),
+        "gdir": ('"CW" or "CCW"', lambda x: x in ("CW", "CCW")),
+        "i": int64,
+        "nrpea": int64,
+        "hmpea": boolean,
+        "moved": boolean,
+    }
+
+
+def _checked(checks: dict, obj: dict, keys: Sequence[str], who: str = "") -> list:
+    """The values of `keys` in `obj`: KeyError if one is missing, ValueError
+    naming the first that does not fit its column."""
+    values = [obj[key] for key in keys]
+    for key, value in zip(keys, values):
+        what, ok = checks[key]
+        if not ok(value):
+            raise ValueError(f"{who}{key} {_dumps(value)} is not {what}")
+    return values
+
+
+def _robot_pattern(rid, n: int, group: str) -> str:
+    """A robot object exactly as `write_trace` emits it for robot `rid` on
+    a ring of n nodes, so its position is one of the ring's nodes.
 
     `group` opens each of its six fields: "(" captures them, in key order
     (gdir, hmpea, i, moved, nrpea, pos), and "(?:" does not.
     """
-    alternatives = ("CW|CCW", _JSON_BOOL, _JSON_INT, _JSON_BOOL, _JSON_INT, _JSON_INT)
+    nodes = "|".join(map(str, range(n)))
+    alternatives = ("CW|CCW", _JSON_BOOL, _JSON_INT, _JSON_BOOL, _JSON_INT, nodes)
     gdir, hmpea, i, moved, nrpea, pos = (group + alt + ")" for alt in alternatives)
     return (
         r'\{"gdir":"' + gdir + r'","hmpea":' + hmpea + r',"i":' + i + r',"id":'
@@ -577,30 +579,32 @@ def _robot_pattern(rid, group: str) -> str:
     )
 
 
-def _record_pattern(ids: Sequence) -> re.Pattern:
-    """Exactly the record line `write_trace` emits for robots `ids`.
+def _record_pattern(ids: Sequence, n: int) -> re.Pattern:
+    """Exactly the record line `write_trace` emits for robots `ids` on a
+    ring of n nodes.
 
     Groups: edges, the object text of each robot, then t.
     """
-    robots = ",".join("(" + _robot_pattern(rid, "(?:") + ")" for rid in ids)
+    robots = ",".join("(" + _robot_pattern(rid, n, "(?:") + ")" for rid in ids)
     return re.compile(
-        r'\{"edges":(' + _JSON_INT + r'),"robots":\[' + robots + r'\],"t":(' + _JSON_INT + r")\}\n?"
+        r'\{"edges":(' + _JSON_NAT + r'),"robots":\[' + robots + r'\],"t":(' + _JSON_INT + r")\}\n?"
     )
 
 
 class _RoundColumns:
     """Round records in file order, converted to numpy columns in chunks.
 
-    A canonical line arrives as the strings its pattern captured, any other
-    line as the values json.loads found.  Pending rows are converted when
-    `_CHUNK_ROUNDS` of them gather or the kind of line changes, so memory
-    stays bounded and rows keep their order.
+    A canonical line arrives as the strings its pattern captured (the
+    pattern admits only values in their columns' ranges), any other line
+    as the checked values json.loads found.  Pending rows are
+    converted when `_CHUNK_ROUNDS` of them gather or the kind of line
+    changes, so memory stays bounded and rows keep their order.
     """
 
-    def __init__(self, ids: Sequence):
+    def __init__(self, ids: Sequence, n: int):
         self.k = len(ids)
         self.width = 2 + self.k
-        self.robot_fields = [re.compile(_robot_pattern(rid, "(")).fullmatch for rid in ids]
+        self.robot_fields = [re.compile(_robot_pattern(rid, n, "(")).fullmatch for rid in ids]
         self.texts: list[str] = []
         self.values: list[list] = [[] for _ in _COLUMNS]
         self.chunks: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
@@ -612,14 +616,14 @@ class _RoundColumns:
         if len(self.texts) >= _CHUNK_ROUNDS * self.width:
             self.convert_texts()
 
-    def add_record(self, edges, robots: list[dict]) -> None:
+    def add_record(self, edges: int, fields: list[list]) -> None:
+        """One round from its checked edge mask and robots' `_ROBOT_KEYS` values."""
         if self.texts:
             self.convert_texts()
-        fields = [(r["pos"], r["gdir"] == "CW", r["i"], r["nrpea"], r["hmpea"], r["moved"])
-                  for r in robots]
-        self.values[0].append(edges)
-        for column, found in zip(self.values[1:], zip(*fields)):
-            column.extend(found)
+        pos, gdir, i, nrpea, hmpea, moved = zip(*fields)
+        found = ([edges], pos, map("CW".__eq__, gdir), i, nrpea, hmpea, moved)
+        for column, values in zip(self.values, found):
+            column.extend(values)
         if len(self.values[0]) >= _CHUNK_ROUNDS:
             self.convert_values()
 
@@ -660,8 +664,9 @@ def read_trace(lines: Iterable[str]) -> Trace:
     """Parse the documented line-delimited format back into a Trace.
 
     Lines exactly as `write_trace` emits them are matched by one pattern
-    built from the header's robot ids; any other JSON layout of the same
-    objects goes through json.loads and reads back the same.
+    built from the header's ring size and robot ids; any other JSON layout
+    of the same objects goes through json.loads and reads back the same.
+    A value outside its column's range is a TraceParseError on its line.
     """
     it = iter(enumerate(lines, start=1))
     try:
@@ -674,7 +679,6 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceParseError(lineno, f"bad header: {exc}") from None
     if header.get("format") != "ringsweep-trace":
         raise TraceParseError(lineno, "not a ringsweep trace header")
-    # Trace reads the initial robot fields on demand, so check them here.
     meta = header.get("meta", {})
     missing = {"n", "algo", "robots"} - meta.keys()
     for r in meta.get("robots", ()):
@@ -686,9 +690,18 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if missing:
         raise TraceParseError(lineno, f"header lacks {sorted(missing)}")
     n = meta["n"]
+    if type(n) is not int or not 3 <= n <= _MAX_N:
+        raise TraceParseError(lineno, f"n {_dumps(n)} is not a ring size 3..{_MAX_N}")
+    checks = _value_checks(n)
+    # Analysis takes the robots' Look-phase values at round 0 from here.
+    try:
+        for r in meta["robots"]:
+            _checked(checks, r, ("gdir", "i", "nrpea", "hmpea"), f"robot {r['id']}: ")
+    except ValueError as exc:
+        raise TraceParseError(lineno, str(exc)) from None
     ids = [r["id"] for r in meta["robots"]]
-    fullmatch = _record_pattern(ids).fullmatch
-    rows = _RoundColumns(ids)
+    fullmatch = _record_pattern(ids, n).fullmatch
+    rows = _RoundColumns(ids, n)
     t_group = rows.width  # after edges and one group per robot
     expected_t = 0
     for lineno, line in it:
@@ -713,9 +726,13 @@ def read_trace(lines: Iterable[str]) -> Trace:
         if not isinstance(robots, list) or [r.get("id") for r in robots] != ids:
             raise TraceParseError(lineno, "robot list does not match header")
         try:
-            rows.add_record(rec["edges"], robots)
+            edges = _checked(checks, rec, ("edges",))[0]
+            fields = [_checked(checks, r, _ROBOT_KEYS, f"robot {r['id']}: ") for r in robots]
         except KeyError as exc:
             raise TraceParseError(lineno, f"record lacks field {exc}") from None
+        except ValueError as exc:
+            raise TraceParseError(lineno, str(exc)) from None
+        rows.add_record(edges, fields)
     if expected_t == 0:
         raise TraceParseError(2, "trace has no round records")
     cols = rows.columns()

@@ -1,6 +1,7 @@
 """Towers, coverage, coherence, monitors, sentinel report."""
 import random
 from dataclasses import replace
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from ringsweep import analysis
 from ringsweep.directions import Chirality, Direction
-from ringsweep.engine import fuzz_initial, run_states
+from ringsweep.engine import Trace, fuzz_initial, run_states
 from ringsweep.ring_model import (
     INF,
     EdgeRemovalSpec,
@@ -95,28 +96,138 @@ class TestTowers:
 
     def test_maximality_brute_force_recheck(self):
         rng = random.Random(5)
-        for trial in range(25):
-            n = rng.randint(4, 6)
-            sched = RecurrentRandomSchedule(n, 0.5, 6, 100 + trial)
-            states = fuzz_initial(n, [0, 1, 2], rng)
-            trace = run_states(n, "pef3", states, 120, schedule=sched)
-            positions = trace.config_positions()
-            towers = analysis.detect_towers(trace)
-            cols = {rid: c for c, rid in enumerate(trace.robot_ids)}
-            for tower in towers:
-                group = [cols[rid] for rid in tower.member_ids]
-                seg = positions[tower.t_start : tower.t_end + 1, group]
-                assert (seg == seg[:, [0]]).all(), "members not co-located"
-                if tower.t_start > 0:
-                    before = positions[tower.t_start - 1, group]
-                    assert len(set(before.tolist())) > 1, "interval extensible left"
-                if tower.t_end < trace.rounds:
-                    after = positions[tower.t_end + 1, group]
-                    assert len(set(after.tolist())) > 1, "interval extensible right"
-                others = [c for c in range(len(cols)) if c not in group]
-                for c in others:
-                    joined = positions[tower.t_start : tower.t_end + 1, [group[0], c]]
-                    assert not (joined[:, 0] == joined[:, 1]).all(), "member set extensible"
+        for k in (2, 3, 4):
+            seen = set()
+            for trial in range(25):
+                n = rng.randint(3, 6)
+                sched = RecurrentRandomSchedule(n, rng.choice((0.3, 0.5, 0.8)), 6, 100 + trial)
+                states = fuzz_initial(n, list(range(k)), rng)
+                algo = rng.choice(("pef2", "pef3"))
+                trace = run_states(n, algo, states, 120, schedule=sched)
+                positions = trace.config_positions()
+                towers = analysis.detect_towers(trace)
+                cols = {rid: c for c, rid in enumerate(trace.robot_ids)}
+                for tower in towers:
+                    group = [cols[rid] for rid in tower.member_ids]
+                    seg = positions[tower.t_start : tower.t_end + 1, group]
+                    assert (seg == seg[:, [0]]).all(), "members not co-located"
+                    if tower.t_start > 0:
+                        before = positions[tower.t_start - 1, group]
+                        assert len(set(before.tolist())) > 1, "interval extensible left"
+                    if tower.t_end < trace.rounds:
+                        after = positions[tower.t_end + 1, group]
+                        assert len(set(after.tolist())) > 1, "interval extensible right"
+                    others = [c for c in range(len(cols)) if c not in group]
+                    for c in others:
+                        joined = positions[tower.t_start : tower.t_end + 1, [group[0], c]]
+                        assert not (joined[:, 0] == joined[:, 1]).all(), "member set extensible"
+                assert reported(towers) == brute_force_towers(trace)
+                seen |= {(t.size, t.kind()) for t in towers}
+            # Every tower size and every kind occurs, so the comparison covers them.
+            assert {size for size, _ in seen} == set(range(2, k + 1))
+            assert {kind for _, kind in seen} == {"long_lived", "short_lived", "undetermined"}
+        # Robot 2 leaves the stack one time before 0 and 1 part, so the pair's
+        # run [1, 3] is member-maximal only by its last time.
+        trace = positions_trace(4, [[0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1], [1, 2, 1]])
+        towers = analysis.detect_towers(trace)
+        assert ((0, 1), 1, 3) in [(t.member_ids, t.t_start, t.t_end) for t in towers]
+        assert reported(towers) == brute_force_towers(trace)
+
+
+def reported(towers):
+    return sorted(
+        (t.member_ids, t.t_start, t.t_end, t.open_ended, t.long_lived, t.first_activation,
+         t.nodes.tolist())
+        for t in towers
+    )
+
+
+def positions_trace(n, rows):
+    """A trace whose configuration positions are `rows`, every edge present
+    in every round; its state columns are left blank."""
+    cpos = np.array(rows, dtype=np.int16)
+    h, k = cpos.shape[0] - 1, cpos.shape[1]
+    blank = np.zeros((h, k), dtype=np.int64)
+    return Trace(
+        meta={"n": n, "algo": "pef3", "robots": [{"id": r} for r in range(k)]},
+        edges=np.full(h, (1 << n) - 1, dtype=np.int64),
+        pos=cpos[:-1], gdir_cw=blank.astype(bool), idx=blank, nrpea=blank,
+        hmpea=blank.astype(bool), moved=blank.astype(bool), final_pos=cpos[-1],
+    )
+
+
+def brute_force_towers(trace):
+    """Every maximal tower by direct enumeration, as sorted tuples.
+
+    For every robot subset and every maximal run of configuration times at
+    which its members share a node, the run is kept unless a larger subset
+    shares a node through all of it.  Its first activation is the first
+    round inside the run with an edge at the node, read from the masks.
+    """
+    pos = trace.config_positions().tolist()
+    edges = trace.edges.tolist()
+    horizon, n, k = trace.rounds, trace.n, len(pos[0])
+    subsets = [cols for size in range(2, k + 1) for cols in combinations(range(k), size)]
+
+    def together(cols, t):
+        return len({pos[t][c] for c in cols}) == 1
+
+    found = []
+    for cols in subsets:
+        times = [t for t in range(horizon + 1) if together(cols, t)]
+        runs = []
+        for t in times:
+            if runs and runs[-1][1] == t - 1:
+                runs[-1][1] = t
+            else:
+                runs.append([t, t])
+        for a, b in runs:
+            if any(
+                set(other) > set(cols) and all(together(other, t) for t in range(a, b + 1))
+                for other in subsets
+            ):
+                continue
+            nodes = [pos[t][cols[0]] for t in range(a, b + 1)]
+            activated = [
+                t for t in range(a, min(b, horizon))
+                if edges[t] >> nodes[t - a] & 1 or edges[t] >> (nodes[t - a] - 1) % n & 1
+            ]
+            first = activated[0] if activated else None
+            long_lived = True if first is not None else (None if b == horizon else False)
+            ids = tuple(trace.robot_ids[c] for c in cols)
+            found.append((ids, a, b, b == horizon, long_lived, first, nodes))
+    return sorted(found)
+
+
+class TestTraceView:
+    def test_look_phase_arrays(self):
+        states = fuzz_initial(5, [0, 1, 2], random.Random(0))
+        trace = run_states(5, "pef3", states, 40, schedule=StaticSchedule(5))
+        view = analysis._view_of(trace)
+        assert analysis._view_of(trace) is view
+        assert view.dir_look.shape == (40, 3)
+        assert (view.dir_look[1:] == trace.gdir_cw[:-1]).all()
+        assert view.here.min() >= 1
+        assert view.here.dtype == np.uint8
+        # Each robot's cw edge is the one named by its node, its ccw edge
+        # the one before; `together` names exactly the robots on its node.
+        rng = random.Random(4)
+        for trial in range(20):
+            n, k = rng.randint(3, 8), rng.randint(1, 5)
+            sched = RecurrentRandomSchedule(n, 0.5, 6, trial)
+            trace = run_states(n, "pef3", fuzz_initial(n, list(range(k)), rng), 60, schedule=sched)
+            view = analysis._view_of(trace)
+            for t in range(trace.rounds):
+                for r in range(k):
+                    node = int(trace.pos[t, r])
+                    assert view.cw[t, r] == bool(trace.edges[t] >> node & 1)
+                    assert view.ccw[t, r] == bool(trace.edges[t] >> (node - 1) % n & 1)
+                    assert view.here[t, r] == (trace.pos[t] == node).sum()
+            cpos = trace.config_positions()
+            for t in range(trace.rounds + 1):
+                for r in range(k):
+                    mates = sum(1 << c for c in range(k) if cpos[t, c] == cpos[t, r])
+                    assert view.together[t, r] == mates
 
 
 class TestCoverage:
@@ -234,7 +345,7 @@ class TestMonitors:
     def test_hand_edited_trace_is_caught(self):
         trace = run_missing_edge(seed=50, rounds=400)
         trace.hmpea = trace.hmpea.copy()
-        activated = np.nonzero(trace.adjacent()[:, 0])[0]
+        activated = np.nonzero(analysis._view_of(trace).adjacent[:, 0])[0]
         trace.hmpea[activated[5], 0] = not trace.hmpea[activated[5], 0]
         violations = analysis.monitor_lemmas(trace)
         assert any(v.monitor == "coherence" for v in violations)

@@ -187,9 +187,6 @@ def test_trace_helper_shapes():
     states = fuzz_initial(5, [0, 1, 2], random.Random(0))
     trace = run_states(5, "pef3", states, 40, schedule=StaticSchedule(5))
     assert trace.config_positions().shape == (41, 3)
-    assert trace.gdir_entering().shape == (40, 3)
-    assert (trace.gdir_entering()[1:] == trace.gdir_cw[:-1]).all()
-    assert trace.robots_here().min() >= 1
 
 
 def test_golden_trace_digest():

@@ -18,6 +18,7 @@ from ringsweep.scenario import (
     parse_scenario_text,
     run_scenario,
 )
+from ringsweep.words import complement, max_common_factor_len, transform_identifier
 
 SCENARIO_TEXT = """
 # demo scenario
@@ -32,6 +33,19 @@ rounds = 300
 robots = 0,1
 robot = id=2 pos=4 dir=L chirality=ccw i=3 nrpea=1 hmpea=true
 """
+
+
+class Put:
+    """The last step of a malformed-input path: store `value` at the key
+    instead of deleting it.  The records are then written as compact
+    sorted-key lines, the writer's own layout, unless `spaced`."""
+
+    def __init__(self, value, spaced=False):
+        self.value = value
+        self.spaced = spaced
+
+    def __str__(self):
+        return f"{self.value}-spaced" if self.spaced else str(self.value)
 
 
 def readme_scenario() -> str:
@@ -204,6 +218,13 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "110011010"
         assert cli.main(["words", "--lcf", "0", "2"]) == 0
         assert int(capsys.readouterr().out) < 12
+        # The complement is taken of the second word: 1 against itself
+        # repeats forever, 1 against its complement does not.
+        assert cli.main(["words", "--lcf", "1", "1"]) == 0
+        assert int(capsys.readouterr().out) == 10
+        assert cli.main(["words", "--lcf-complement", "1", "1"]) == 0
+        u = transform_identifier(1)
+        assert int(capsys.readouterr().out) == max_common_factor_len(u, complement(u), 10) < 10
         assert cli.main(["words", "--divergence", "0", "1", "--chirality", "same"]) == 0
         assert int(capsys.readouterr().out) >= 1
         assert cli.main(["words"]) == 2
@@ -268,6 +289,13 @@ class TestCli:
             ("trace", (0, "meta", "schedule", "missing_edge")),
             ("trace", (1, "edges")),
             ("trace", (1, "robots", 0, "moved")),
+            ("trace", (1, "robots", 0, "pos", Put(40000))),
+            ("trace", (1, "robots", 0, "pos", Put(9))),
+            ("trace", (1, "robots", 0, "gdir", Put("XW", spaced=True))),
+            ("trace", (1, "robots", 1, "hmpea", Put(1))),
+            ("trace", (1, "robots", 1, "nrpea", Put(2**63))),
+            ("trace", (1, "edges", Put(-1))),
+            ("trace", (0, "meta", "robots", 0, "i", Put(-(2**63) - 1))),
             ("witness", (0, "robots")),
             ("witness", (0, "robots", 0, "chirality")),
             ("witness", (1, "absent")),
@@ -287,11 +315,20 @@ class TestCli:
                     "--witness-out", str(target)]
         assert cli.main(argv) in (0, 1)
         records = [json.loads(line) for line in target.read_text().splitlines()]
+        put = path[-1] if isinstance(path[-1], Put) else None
+        *steps, key = path[:-1] if put else path
         obj = records
-        for step in path[:-1]:
+        for step in steps:
             obj = obj[step]
-        del obj[path[-1]]
-        target.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        if put:
+            obj[key] = put.value
+        else:
+            del obj[key]
+        if put and not put.spaced:
+            lines = (json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records)
+        else:
+            lines = (json.dumps(rec) for rec in records)
+        target.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
         if kind == "trace":
             assert cli.main(["analyze", str(target)]) == 2
