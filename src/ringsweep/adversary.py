@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import IO, Sequence
 
 from .directions import Chirality, Direction, to_global, GlobalDirection
-from .engine import ALGO_PEF2, ALGO_PEF3, RunView, Trace, _round_kernel, run_states
-from .robot_core import RobotState
+from .engine import ALGO_PEF2, ALGO_PEF3, RunView, Trace, _LocalTable, _ports, run_states
+from .robot_core import NO_MUTATIONS, RobotState
 from .words import normalize_index, transformed_length
 
 
@@ -191,11 +191,8 @@ def _positions_mask(pos: Sequence[int]) -> int:
 class _GameContext:
     def __init__(self, n: int, algo: str, robots: Sequence[RobotState], max_absent: int):
         self.n = n
-        self.k = len(robots)
-        self.pef3 = algo == ALGO_PEF3
-        self.tids = [r.transformed_id for r in robots]
+        self.table = _LocalTable(algo, robots, NO_MUTATIONS)
         self.ells = [r.ell for r in robots]
-        self.chir_cw = [r.chirality is Chirality.RIGHT_IS_CLOCKWISE for r in robots]
         self.full = (1 << n) - 1
         self.max_absent = max_absent
 
@@ -225,20 +222,21 @@ class _GameContext:
     def transition(self, key: tuple, absent_mask: int) -> tuple:
         """Apply one round from the canonical representative configuration."""
         rpos, gd, idx, nr, hm, vis = key
-        pos = list(rpos)
-        dir_right = [gd[r] == self.chir_cw[r] for r in range(self.k)]
-        idx_l = list(idx)
-        nr_l = list(nr)
-        hm_l = [1 if b else 0 for b in hm]
-        mask = self.full & ~absent_mask
-        new_pos, gdir_out, _moved = _round_kernel(
-            self.n, self.pef3, mask, pos, dir_right, self.chir_cw, idx_l, nr_l, hm_l,
-            self.tids, self.ells, False, False, False,
-        )
+        n, table = self.n, self.table
+        ports = _ports(self.full & ~absent_mask, n)
+        new_pos, gdir, idx_l, nr_l, hm_l = [], [], [], [], []
+        for r, p in enumerate(rpos):
+            cw_frame = table.chir_cw[r]
+            code = table.code((r, gd[r] == cw_frame, idx[r], nr[r], hm[r]))
+            code, step = table.after(code, rpos.count(p), ports >> p & 3)
+            _, right, i, nrpea, hmpea = table.local(code)
+            new_pos.append((p + step) % n)
+            gdir.append(right == cw_frame)
+            idx_l.append(i)
+            nr_l.append(nrpea)
+            hm_l.append(hmpea)
         new_vis = vis | _positions_mask(new_pos)
-        child, _ = state_key(
-            self.n, new_pos, gdir_out, idx_l, nr_l, hm_l, new_vis, self.ells
-        )
+        child, _ = state_key(n, new_pos, gdir, idx_l, nr_l, hm_l, new_vis, self.ells)
         return child
 
 
@@ -372,7 +370,7 @@ class WitnessStrategy:
     def choose_mask(self, t: int, view: RunView) -> int:
         n = view.n
         self._visited |= _positions_mask(view.pos)
-        gdir = [view.dir_right[r] == view.chir_cw[r] for r in range(len(view.pos))]
+        gdir = [right == cw_frame for right, cw_frame in zip(view.dir_right, view.chir_cw)]
         key, rot = state_key(
             n, view.pos, gdir, view.idx, view.nrpea, view.hmpea, self._visited, self._ells
         )

@@ -259,21 +259,30 @@ class _TraceView:
         first = [convert(r[key]) if convert else r[key] for r in self.initial]
         return np.vstack([np.array(first, dtype=column.dtype)[None, :], column[:-1]])
 
+    def vs_look(self, op, values: np.ndarray, column: np.ndarray, key: str) -> np.ndarray:
+        """(H, k) bool `op(values, column as held at Look)`.
+
+        Round 0 compares with the header's `key` values and later rounds
+        with the column shifted by one round, so no (H, k) copy of the
+        Look-phase values is made; `_entering` makes one for bool columns.
+        """
+        out = np.empty((self.h, self.k), dtype=bool)
+        first = np.array([r[key] for r in self.initial], dtype=column.dtype)
+        out[0] = op(values[0], first)
+        out[1:] = op(values[1:], column[:-1])
+        return out
+
+    def look_at(self, column: np.ndarray, key: str, t: int, r: int):
+        """The value of `column` robot column r held at Look in round t."""
+        return self.initial[r][key] if t == 0 else column[t - 1, r].item()
+
     @cached_property
     def dir_look(self) -> np.ndarray:
         return self._entering(self.gdir_cw, "gdir", "CW".__eq__)
 
     @cached_property
-    def nrpea_look(self) -> np.ndarray:
-        return self._entering(self.nrpea, "nrpea")
-
-    @cached_property
     def hmpea_look(self) -> np.ndarray:
         return self._entering(self.hmpea, "hmpea")
-
-    @cached_property
-    def idx_look(self) -> np.ndarray:
-        return self._entering(self.idx, "i")
 
     @cached_property
     def together(self) -> np.ndarray:
@@ -333,12 +342,14 @@ class _TraceView:
         ahead = np.where(self.dir_look, self.cw, self.ccw)
         behind = np.where(self.dir_look, self.ccw, self.cw)
         here = self.here
-        return (here > 1) & (here == self.nrpea_look) & ~ahead & behind & ~self.hmpea_look
+        same = self.vs_look(np.equal, here, self.nrpea, "nrpea")
+        return (here > 1) & same & ~ahead & behind & ~self.hmpea_look
 
     @cached_property
     def more(self) -> np.ndarray:
         """(H, k) "was stuck, and more robots arrived" at Look."""
-        return (self.here > self.nrpea_look) & ~self.hmpea_look & self.adjacent
+        more = self.vs_look(np.greater, self.here, self.nrpea, "nrpea")
+        return more & ~self.hmpea_look & self.adjacent
 
 
 def _view_of(trace: Trace) -> _TraceView:
@@ -366,9 +377,9 @@ def _monitor_coherence(v: _TraceView, out: list[Violation]) -> None:
         f"moved {bool(v.moved[t, r])} at edge-activated round"
     ))
     changed = (
-        (v.nrpea != v.nrpea_look)
+        v.vs_look(np.not_equal, v.nrpea, v.nrpea, "nrpea")
         | (v.hmpea != v.hmpea_look)
-        | (v.idx != v.idx_look)
+        | v.vs_look(np.not_equal, v.idx, v.idx, "i")
         | (v.gdir_cw != v.dir_look)
         | v.moved
     )
@@ -398,12 +409,12 @@ def _monitor_movement(v: _TraceView, out: list[Violation]) -> None:
 def _monitor_index_advance(v: _TraceView, out: list[Violation]) -> None:
     """The read index advances round-robin, exactly on stuck-together rounds."""
     ids = v.robot_ids
-    changed = v.idx != v.idx_look
+    changed = v.vs_look(np.not_equal, v.idx, v.idx, "i")
     ells = np.array([transformed_length(rid) for rid in ids])
-    expected = v.idx_look % ells[None, :] + 1
-    _report(out, "index-advance", changed & (v.idx != expected), lambda t, r: (
-        f"robot {ids[r]}: read index {int(v.idx_look[t, r])} -> "
-        f"{int(v.idx[t, r])}, round-robin expects {int(expected[t, r])}"
+    unexpected = v.vs_look(lambda idx, look: idx != look % ells + 1, v.idx, v.idx, "i")
+    _report(out, "index-advance", changed & unexpected, lambda t, r: (
+        f"robot {ids[r]}: read index {v.look_at(v.idx, 'i', t, r)} -> "
+        f"{int(v.idx[t, r])}, round-robin expects {v.look_at(v.idx, 'i', t, r) % ells[r] + 1}"
     ))
     _report(out, "index-advance", changed != v.stuck, lambda t, r: (
         f"robot {ids[r]}: index change={bool(changed[t, r])} but "

@@ -8,9 +8,12 @@ opposite directions swap without noticing each other; the model only
 grants multiplicity detection on nodes.
 
 Two implementations of the round exist on purpose: `step` composes the
-robot_core transitions and is the readable reference; `run` drives a
-fused integer kernel over parallel lists for long horizons.  A property
-test holds them bit-identical.
+robot_core transitions and is the readable reference; `run_states` moves
+each robot by `_local_step`, one pure rule over the robot's own
+variables, the robot count on its node and its two edges.  That rule is
+memoized per run in a `_LocalTable`, so a long run computes each distinct
+(local state, observation) pair once; the game search in `adversary`
+steps through the same table.  Property tests hold the two bit-identical.
 
 Traces are stored columnar (one numpy array per field) with the canonical
 per-round robot state being the post-Compute one; the line-delimited file
@@ -45,6 +48,8 @@ from .robot_core import (
 ALGO_PEF3 = "pef3"
 ALGO_PEF2 = "pef2"
 
+# Edge masks are int64, so a ring has at most 63 edges.
+MAX_N = 63
 # Rounds per numpy conversion when recording or reading a trace, and per
 # `write` call when writing one.
 _CHUNK_ROUNDS = 4096
@@ -121,79 +126,135 @@ def _mask_of(edges: Iterable[int]) -> int:
     return mask
 
 
-def _round_kernel(
-    n: int,
+def _local_step(
+    right: bool,
+    i: int,
+    nrpea: int,
+    hmpea: int,
+    here: int,
+    cw: int,
+    ccw: int,
     pef3: bool,
-    mask: int,
-    pos: list[int],
-    dir_right: list[bool],
-    chir_cw: list[bool],
-    idx: list[int],
-    nrpea: list[int],
-    hmpea: list[int],
-    tids: list[str],
-    ells: list[int],
+    cw_frame: bool,
+    word: str,
     literal_index: bool,
     freeze_hmpea: bool,
     skip_update: bool,
-) -> tuple[list[int], list[int], list[int]]:
-    """One fused round over parallel lists; mutates the variable lists.
+) -> tuple[bool, int, int, int, int]:
+    """One robot's Compute and Update, and its step in Move.
 
-    Returns (new positions, post-Compute global-clockwise flags, moved
-    flags).  Semantically identical to `step`; kept branch-light because
-    it executes millions of times in the acceptance suite.
+    Reads only the robot's local variables (`right`: its direction is
+    RIGHT), the robot count on its node, the presence (0 or 1) of its
+    clockwise and counter-clockwise edges, and the run constants:
+    algorithm, chirality (`cw_frame`: RIGHT is clockwise), bit word and
+    mutation flags.  Returns the new (right, i, nrpea, hmpea) and the
+    step: 0 to stay, 1 clockwise, -1 counter-clockwise.  Semantically
+    identical to the robot_core rules that `step` composes.
     """
-    k = len(pos)
-    new_pos = [0] * k
-    gdir_out = [0] * k
-    moved_out = [0] * k
-    for r in range(k):
-        p = pos[r]
-        cw_present = mask >> p & 1
-        ccw_present = mask >> (p - 1 if p else n - 1) & 1
-        here = 0
-        for q in range(k):
-            if pos[q] == p:
-                here += 1
-        right = dir_right[r]
-        cw_frame = chir_cw[r]
+    gcw = right == cw_frame
+    cur = cw if gcw else ccw
+    opp = ccw if gcw else cw
+    adjacent = cw | ccw
+    stuck_together = here > 1 and here == nrpea and not cur and opp and not hmpea
+    if stuck_together:
+        ell = len(word)
+        # Round-robin advance with implicit normalization; in Python,
+        # normalize-then-advance collapses to i % ell + 1.
+        i = (i + 1) % ell + 1 if literal_index else i % ell + 1
+        right = word[i - 1] == "1"
         gcw = right == cw_frame
-        cur = cw_present if gcw else ccw_present
-        opp = ccw_present if gcw else cw_present
-        adjacent = cw_present | ccw_present
-        nr = nrpea[r]
-        hm = hmpea[r]
-        stuck_together = here > 1 and here == nr and not cur and opp and not hm
-        if stuck_together:
-            ell = ells[r]
-            # Round-robin advance with implicit normalization; in Python,
-            # normalize-then-advance collapses to i % ell + 1.
-            ni = (idx[r] + 1) % ell + 1 if literal_index else idx[r] % ell + 1
-            idx[r] = ni
-            right = tids[r][ni - 1] == "1"
-            dir_right[r] = right
-            gcw = right == cw_frame
-            cur = cw_present if gcw else ccw_present
-            opp = ccw_present if gcw else cw_present
-        if pef3:
-            flip = here > nr and not hm and adjacent
-        else:
-            flip = here == 1 and not cur and opp
-        if flip:
-            dir_right[r] = not right
-            gcw = not gcw
-            cur, opp = opp, cur
-        if adjacent and not skip_update:
-            nrpea[r] = here
-            if not freeze_hmpea:
-                hmpea[r] = cur
-        gdir_out[r] = gcw
-        moved_out[r] = cur
-        if cur:
-            new_pos[r] = (p + 1) % n if gcw else (p - 1 if p else n - 1)
-        else:
-            new_pos[r] = p
-    return new_pos, gdir_out, moved_out
+        cur = cw if gcw else ccw
+        opp = ccw if gcw else cw
+    if pef3:
+        flip = here > nrpea and not hmpea and adjacent
+    else:
+        flip = here == 1 and not cur and opp
+    if flip:
+        right = not right
+        gcw = not gcw
+        cur, opp = opp, cur
+    if adjacent and not skip_update:
+        nrpea = here
+        if not freeze_hmpea:
+            hmpea = cur
+    return right, i, nrpea, hmpea, (1 if gcw else -1) if cur else 0
+
+
+def _ports(mask: int, n: int) -> int:
+    """Edge bits by node: bit p is node p's counter-clockwise edge and bit
+    p + 1 its clockwise edge, so `_ports(mask, n) >> p & 3` is
+    `cw << 1 | ccw` at node p.  Bits of `mask` from n up are not read."""
+    return mask << 1 | mask >> (n - 1) & 1
+
+
+class _LocalTable:
+    """The per-robot transition table of one run, filled as it is used.
+
+    A robot's local state `(r, right, i, nrpea, hmpea)` (its column in the
+    run and its four variables) is interned once to a code, its id shifted
+    left by `shift`.  Compute and Update read only that state, the robot
+    count on its node and its two edges, so `next` maps the key
+    `code | here << 2 | cw << 1 | ccw` to `(next code, step)`, computed by
+    `_local_step` the first time the key appears.  A run visits few local
+    states: Update sets `nrpea` to a count of at most k and the index
+    advance lands in 1..ell, so the table stops growing early.
+    """
+
+    def __init__(self, algo: str, states: Sequence[RobotState], mutations: frozenset[str]):
+        self.pef3 = algo == ALGO_PEF3
+        self.chir_cw = [s.chirality is Chirality.RIGHT_IS_CLOCKWISE for s in states]
+        self.words = [s.transformed_id for s in states]
+        self.flags = (
+            MUTATION_LITERAL_INDEX in mutations,
+            MUTATION_FREEZE_HMPEA in mutations,
+            MUTATION_SKIP_UPDATE in mutations,
+        )
+        # `here` (at most k) fits below the code's id bits.
+        self.shift = len(states).bit_length() + 2
+        self.locals: list[tuple] = []
+        self._codes: dict[tuple, int] = {}
+        self.next: dict[int, tuple[int, int]] = {}
+
+    def code(self, local: tuple) -> int:
+        """The code of local state `(r, right, i, nrpea, hmpea)`."""
+        code = self._codes.get(local)
+        if code is None:
+            code = self._codes[local] = len(self.locals) << self.shift
+            self.locals.append(local)
+        return code
+
+    def local(self, code: int) -> tuple:
+        return self.locals[code >> self.shift]
+
+    def after(self, code: int, here: int, ports: int) -> tuple[int, int]:
+        """(next code, step) of a robot in state `code` with `here` robots on
+        its node and `ports` = cw << 1 | ccw."""
+        key = code | here << 2 | ports
+        out = self.next.get(key)
+        return self.fill(key) if out is None else out
+
+    def fill(self, key: int) -> tuple[int, int]:
+        """`next[key]`, computed and stored."""
+        r, right, i, nrpea, hmpea = self.locals[key >> self.shift]
+        here = key >> 2 & (1 << self.shift - 2) - 1
+        right, i, nrpea, hmpea, step = _local_step(
+            right, i, nrpea, hmpea, here, key >> 1 & 1, key & 1,
+            self.pef3, self.chir_cw[r], self.words[r], *self.flags,
+        )
+        out = self.next[key] = (self.code((r, right, i, nrpea, hmpea)), step)
+        return out
+
+    def columns(self, codes: np.ndarray) -> dict[str, np.ndarray]:
+        """The `gdir_cw`, `idx`, `nrpea` and `hmpea` columns of the states `codes`."""
+        ids = codes >> self.shift
+        r, right, i, nrpea, hmpea = zip(*self.locals)
+        gdir_cw = np.array(right) == np.array(self.chir_cw)[list(r)]
+        return {
+            "gdir_cw": gdir_cw.take(ids),
+            "idx": np.array(i, dtype=np.int64).take(ids),
+            "nrpea": np.array(nrpea, dtype=np.int64).take(ids),
+            "hmpea": np.array(hmpea, dtype=bool).take(ids),
+        }
 
 
 @dataclass
@@ -257,10 +318,10 @@ class StaticStrategy:
 
 @dataclass
 class RunView:
-    """Read-only window a reactive adversary gets each round.
+    """Read-only window a reactive adversary gets each round: the ring and
+    the robots' pre-round positions and variables.
 
-    Lists alias the engine's live variables (pre-round values at the time
-    the strategy is consulted); strategies must not mutate them.
+    Strategies must not mutate the lists.
     """
 
     n: int
@@ -271,6 +332,39 @@ class RunView:
     idx: list[int]
     nrpea: list[int]
     hmpea: list[int]
+
+
+class _LiveView(RunView):
+    """The RunView `run_states` hands a strategy.
+
+    `pos` is the run's live position list; the variables are decoded from
+    the robots' local-state codes when read, so a strategy that reads only
+    positions pays nothing for them.
+    """
+
+    def __init__(self, n: int, table: _LocalTable, pos: list[int], codes: list[int]):
+        self.n, self.full_mask, self.chir_cw = n, (1 << n) - 1, table.chir_cw
+        self.pos, self.codes, self._table = pos, codes, table
+
+    def _field(self, f: int) -> list:
+        states, shift = self._table.locals, self._table.shift
+        return [states[code >> shift][f] for code in self.codes]
+
+    @property
+    def dir_right(self) -> list[bool]:
+        return self._field(1)
+
+    @property
+    def idx(self) -> list[int]:
+        return self._field(2)
+
+    @property
+    def nrpea(self) -> list[int]:
+        return self._field(3)
+
+    @property
+    def hmpea(self) -> list[int]:
+        return self._field(4)
 
 
 def run_states(
@@ -287,14 +381,15 @@ def run_states(
 
     Exactly one of `schedule` and `strategy` must be given; a strategy is
     consulted every round with the live state view and returns the
-    bitmask of edges present that round.
+    bitmask of edges present that round.  Each robot steps through the
+    run's `_LocalTable`.
     """
     if (schedule is None) == (strategy is None):
         raise ValueError("provide exactly one of schedule or strategy")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if n < 3:
-        raise ValueError(f"ring size must be >= 3, got {n}")
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"ring size must be in 3..{MAX_N}, got {n}")
     bad = set(mutations) - KNOWN_MUTATIONS
     if bad:
         raise ValueError(f"unknown mutation flags: {sorted(bad)}")
@@ -304,55 +399,50 @@ def run_states(
     for s in states:
         if not 0 <= s.position < n:
             raise ValueError(f"robot {s.id} position {s.position} outside 0..{n - 1}")
-
-    pef3 = algo == ALGO_PEF3
-    if not pef3 and algo != ALGO_PEF2:
+    if algo not in (ALGO_PEF3, ALGO_PEF2):
         raise ValueError(f"algo must be one of {ALGO_PEF3!r}, {ALGO_PEF2!r}, got {algo!r}")
     if schedule is not None:
         strategy = StaticStrategy(schedule.masks(rounds))
 
     k = len(states)
+    table = _LocalTable(algo, states, mutations)
     pos = [s.position for s in states]
-    dir_right = [s.direction is Direction.RIGHT for s in states]
-    chir_cw = [s.chirality is Chirality.RIGHT_IS_CLOCKWISE for s in states]
-    idx = [s.i for s in states]
-    nrpea = [s.nrpea for s in states]
-    hmpea = [1 if s.hmpea else 0 for s in states]
-    tids = [s.transformed_id for s in states]
-    ells = [s.ell for s in states]
-    literal = MUTATION_LITERAL_INDEX in mutations
-    freeze = MUTATION_FREEZE_HMPEA in mutations
-    skip = MUTATION_SKIP_UPDATE in mutations
-
+    codes = [
+        table.code((r, s.direction is Direction.RIGHT, s.i, s.nrpea, int(s.hmpea)))
+        for r, s in enumerate(states)
+    ]
+    view = _LiveView(n, table, pos, codes)
+    choose, memo, fill, n1 = strategy.choose_mask, table.next, table.fill, n - 1
+    # ring[p + step] is the node that `step` leads to from node p.
+    ring = [*range(n), 0, n1]
     rec_edges: list[int] = []
     rec_pos: list[int] = []
-    rec_gdir: list[int] = []
-    rec_idx: list[int] = []
-    rec_nr: list[int] = []
-    rec_hm: list[int] = []
-    rec_mv: list[int] = []
-    recorded = (rec_edges, rec_pos, rec_gdir, rec_idx, rec_nr, rec_hm, rec_mv)
-    chunks: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
-    view = RunView(n, (1 << n) - 1, pos, dir_right, chir_cw, idx, nrpea, hmpea)
+    rec_codes: list[int] = []
+    recorded = ((rec_edges, np.int64), (rec_pos, np.int16), (rec_codes, np.int64))
+    chunks: list[list[np.ndarray]] = [[] for _ in recorded]
 
     # The record lists are emptied into numpy every `_CHUNK_ROUNDS` rounds,
     # so a long run never holds a whole trace as Python lists.
     for start in range(0, rounds, _CHUNK_ROUNDS):
         for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
-            view.pos = pos
-            mask = strategy.choose_mask(t, view)
+            view.pos, view.codes = pos, codes
+            mask = choose(t, view)
             rec_edges.append(mask)
-            rec_pos.extend(pos)
-            pos, gdir_out, moved_out = _round_kernel(
-                n, pef3, mask, pos, dir_right, chir_cw, idx, nrpea, hmpea,
-                tids, ells, literal, freeze, skip,
-            )
-            rec_gdir.extend(gdir_out)
-            rec_idx.extend(idx)
-            rec_nr.extend(nrpea)
-            rec_hm.extend(hmpea)
-            rec_mv.extend(moved_out)
-        for column, chunk, (_, dtype) in zip(recorded, chunks, _COLUMNS):
+            rec_pos += pos
+            ports = mask << 1 | mask >> n1 & 1  # _ports(mask, n), inlined
+            new_pos, new_codes = [], []
+            for p, code in zip(pos, codes):
+                # _LocalTable.after, inlined.
+                key = code | pos.count(p) << 2 | ports >> p & 3
+                try:
+                    code, step = memo[key]
+                except KeyError:
+                    code, step = fill(key)
+                new_pos.append(ring[p + step])
+                new_codes.append(code)
+            pos, codes = new_pos, new_codes
+            rec_codes += codes
+        for (column, dtype), chunk in zip(recorded, chunks):
             chunk.append(np.array(column, dtype=dtype))
             column.clear()
 
@@ -377,7 +467,17 @@ def run_states(
     }
     if meta_extra:
         meta.update(meta_extra)
-    return Trace(meta=meta, final_pos=np.array(pos, dtype=np.int16), **_joined(chunks, k))
+    edges, pos_col, code_col = (np.concatenate(chunk) for chunk in chunks)
+    pos_col = pos_col.reshape(-1, k)
+    final_pos = np.array(pos, dtype=np.int16)
+    # On a ring of n >= 3 nodes a robot moved exactly when its node changed.
+    moved = np.empty(pos_col.shape, dtype=bool)
+    np.not_equal(pos_col[1:], pos_col[:-1], out=moved[:-1])
+    np.not_equal(final_pos, pos_col[-1], out=moved[-1])
+    return Trace(
+        meta=meta, edges=edges, pos=pos_col, moved=moved, final_pos=final_pos,
+        **table.columns(code_col.reshape(-1, k)),
+    )
 
 
 def _joined(chunks: Sequence[list[np.ndarray]], k: int) -> dict[str, np.ndarray]:
@@ -528,8 +628,6 @@ _JSON_BOOL = "true|false"
 _FLAGS = {"true": True, "false": False, "CW": True, "CCW": False}
 # A robot object's fields in column order.
 _ROBOT_KEYS = ("pos", "gdir", "i", "nrpea", "hmpea", "moved")
-# Edge masks are int64, so a trace's ring has at most 63 edges.
-_MAX_N = 63
 
 
 def _value_checks(n: int) -> dict:
@@ -690,8 +788,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if missing:
         raise TraceParseError(lineno, f"header lacks {sorted(missing)}")
     n = meta["n"]
-    if type(n) is not int or not 3 <= n <= _MAX_N:
-        raise TraceParseError(lineno, f"n {_dumps(n)} is not a ring size 3..{_MAX_N}")
+    if type(n) is not int or not 3 <= n <= MAX_N:
+        raise TraceParseError(lineno, f"n {_dumps(n)} is not a ring size 3..{MAX_N}")
     checks = _value_checks(n)
     # Analysis takes the robots' Look-phase values at round 0 from here.
     try:

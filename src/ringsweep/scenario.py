@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .directions import Chirality, Direction
-from .engine import ALGO_PEF2, ALGO_PEF3, Trace, fuzz_initial, run_states
+from .engine import ALGO_PEF2, ALGO_PEF3, MAX_N, Trace, fuzz_initial, run_states
 from .ring_model import (
     INF,
     EdgeRemovalSpec,
@@ -87,8 +87,8 @@ class Scenario:
 
     def validate(self) -> None:
         problems: dict[str, str] = {}
-        if self.n < 3:
-            problems["n"] = f"ring size must be >= 3, got {self.n}"
+        if not 3 <= self.n <= MAX_N:
+            problems["n"] = f"ring size must be in 3..{MAX_N} (edge masks are int64), got {self.n}"
         if self.algo not in (ALGO_PEF3, ALGO_PEF2):
             problems["algo"] = f"must be {ALGO_PEF3} or {ALGO_PEF2}, got {self.algo!r}"
         if not self.robots:

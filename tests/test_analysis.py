@@ -349,6 +349,15 @@ class TestMonitors:
         trace.hmpea[activated[5], 0] = not trace.hmpea[activated[5], 0]
         violations = analysis.monitor_lemmas(trace)
         assert any(v.monitor == "coherence" for v in violations)
+        # No edge in round 0, so round 0 must keep the header's variables.
+        sched = RemovalSchedule(StaticSchedule(4), EdgeRemovalSpec.of([(e, 0, 0) for e in range(4)]))
+        robots = [RobotState.make(0, 0, nrpea=2), RobotState.make(1, 2, i=3)]
+        for key, value in (("nrpea", 5), ("i", 9)):
+            trace = run_states(4, "pef3", robots, 10, schedule=sched)
+            assert analysis.monitor_lemmas(trace) == []
+            trace.meta["robots"][0][key] = value
+            found = [(v.monitor, v.round) for v in analysis.monitor_lemmas(trace)]
+            assert ("frozen-between-activations", 0) in found, key
 
     def _frozen_cohort_view(self):
         # Edge-activated once at round 0 (one counter-clockwise move),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsweep.directions import Chirality, Direction
+from ringsweep.directions import Chirality, Direction, GlobalDirection
 from ringsweep.engine import (
     Configuration,
     Trace,
@@ -22,7 +22,7 @@ from ringsweep.engine import (
     write_trace,
 )
 from ringsweep.ring_model import RecurrentRandomSchedule, StaticSchedule
-from ringsweep.robot_core import RobotState
+from ringsweep.robot_core import KNOWN_MUTATIONS, NO_MUTATIONS, RobotState, global_direction
 
 CW = Chirality.RIGHT_IS_CLOCKWISE
 CCW = Chirality.RIGHT_IS_COUNTER_CLOCKWISE
@@ -111,26 +111,91 @@ def test_trace_file_round_trip():
     assert back.meta == trace.meta
 
 
+MUTATION_CASES = [NO_MUTATIONS] + [frozenset({m}) for m in sorted(KNOWN_MUTATIONS)]
+
+
+def reference_columns(n, algo, states, masks, mutations):
+    """Every Trace column of the run, replayed round by round through
+    `engine.step`; `moved` from the Look snapshot and the computed direction."""
+    cols = {name: [] for name in ("pos", "gdir_cw", "idx", "nrpea", "hmpea", "moved")}
+    cfg = Configuration(0, tuple(states))
+    for mask in masks:
+        before = cfg.positions()
+        snaps = [build_snapshot(s, before, mask, n) for s in cfg.robots]
+        cfg = step(cfg, mask, algo, n, mutations)
+        cols["pos"].append(before)
+        cols["gdir_cw"].append([global_direction(s) is GlobalDirection.CLOCKWISE for s in cfg.robots])
+        cols["idx"].append([s.i for s in cfg.robots])
+        cols["nrpea"].append([s.nrpea for s in cfg.robots])
+        cols["hmpea"].append([s.hmpea for s in cfg.robots])
+        cols["moved"].append([snap.exists_current_dir(s.direction) for snap, s in zip(snaps, cfg.robots)])
+    return cols, cfg.positions()
+
+
 def test_fast_loop_matches_reference_step():
+    # Every (k, algo, mutation) combination once, with runs of up to 2000
+    # rounds so that most robot steps are hits in the run's memo.
     rng = random.Random(99)
-    for _ in range(60):
+    for case in range(40):
         n = rng.randint(3, 7)
-        k = rng.randint(1, 3)
-        algo = rng.choice(["pef3", "pef2"])
-        states = fuzz_initial(n, list(range(k)), rng)
-        rounds = rng.randint(1, 30)
+        k = 1 + case % 5
+        algo = ("pef3", "pef2")[case // 5 % 2]
+        mutations = MUTATION_CASES[case // 10]
+        pins = {
+            rid: {rng.choice(("i", "nrpea")): rng.choice((10**12, -(10**12), -1, -5))}
+            for rid in range(k)
+            if rng.random() < 0.4
+        }
+        states = fuzz_initial(n, list(range(k)), rng, pins)
+        rounds = rng.choice((rng.randint(1, 30), rng.randint(1000, 2000)))
         sched = RecurrentRandomSchedule(n, rng.random(), rng.randint(1, 6), rng.randint(0, 500))
         masks = sched.masks(rounds)
-        trace = run_states(n, algo, states, rounds, schedule=sched)
-        cfg = Configuration(0, tuple(states))
-        for t in range(rounds):
-            assert tuple(trace.pos[t]) == cfg.positions()
-            cfg = step(cfg, masks[t], algo, n)
-            for r, srobot in enumerate(cfg.robots):
-                assert trace.idx[t, r] == srobot.i
-                assert trace.nrpea[t, r] == srobot.nrpea
-                assert bool(trace.hmpea[t, r]) == srobot.hmpea
-        assert tuple(trace.final_pos) == cfg.positions()
+        trace = run_states(n, algo, states, rounds, schedule=sched, mutations=mutations)
+        want, final = reference_columns(n, algo, states, masks, mutations)
+        for name, rows in want.items():
+            assert np.array_equal(getattr(trace, name), rows), (case, name)
+        assert tuple(trace.final_pos) == final
+
+
+class ReferenceCheckingStrategy:
+    """Draws random masks, replaying them through `engine.step`, and checks
+    each round that the RunView shows the reference configuration."""
+
+    def __init__(self, n, algo, states, mutations, seed):
+        self.n, self.algo, self.mutations = n, algo, mutations
+        self.cfg = Configuration(0, tuple(states))
+        self.rng = random.Random(seed)
+        self.masks = []
+
+    def choose_mask(self, t, view):
+        if t:
+            self.cfg = step(self.cfg, self.masks[-1], self.algo, self.n, self.mutations)
+        robots = self.cfg.robots
+        assert (view.n, view.full_mask) == (self.n, (1 << self.n) - 1)
+        assert view.pos == [s.position for s in robots], t
+        assert view.dir_right == [s.direction is Direction.RIGHT for s in robots], t
+        assert view.chir_cw == [s.chirality is CW for s in robots], t
+        assert view.idx == [s.i for s in robots], t
+        assert view.nrpea == [s.nrpea for s in robots], t
+        assert [bool(h) for h in view.hmpea] == [s.hmpea for s in robots], t
+        self.masks.append(self.rng.getrandbits(self.n))
+        return self.masks[-1]
+
+
+def test_reactive_view_shows_reference_state():
+    rng = random.Random(5)
+    for case in range(16):
+        n = rng.randint(3, 6)
+        k = 1 + case % 4
+        algo = ("pef3", "pef2")[case % 2]
+        mutations = MUTATION_CASES[case // 4]
+        states = fuzz_initial(n, list(range(k)), rng, {0: {"i": -(10**12)}})
+        strategy = ReferenceCheckingStrategy(n, algo, states, mutations, case)
+        trace = run_states(n, algo, states, 300, strategy=strategy, mutations=mutations)
+        assert trace.edges.tolist() == strategy.masks
+        want, _ = reference_columns(n, algo, states, strategy.masks, mutations)
+        for name, rows in want.items():
+            assert np.array_equal(getattr(trace, name), rows), (case, name)
 
 
 def test_fuzz_reproducible():

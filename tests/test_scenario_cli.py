@@ -299,10 +299,15 @@ class TestCli:
             ("witness", (0, "robots")),
             ("witness", (0, "robots", 0, "chirality")),
             ("witness", (1, "absent")),
+            ("simulate", ("--n", "64", "--robots", "0,1", "--rounds", "5")),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
     )
     def test_malformed_inputs_exit_2(self, kind, path, tmp_path, capsys):
+        if kind == "simulate":  # a command line: edge masks are int64
+            assert cli.main([kind, *path]) == 2
+            assert "ring size must be in 3..63" in capsys.readouterr().err
+            return
         target = tmp_path / f"{kind}.jsonl"
         if kind == "trace":
             argv = ["simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--out", str(target)]
