@@ -23,7 +23,8 @@ from itertools import combinations
 from typing import IO, Sequence
 
 from .directions import Chirality, Direction, to_global, GlobalDirection
-from .engine import ALGO_PEF2, ALGO_PEF3, RunView, Trace, _LocalTable, _ports, run_states
+from .engine import MAX_N, RunView, Trace, _LocalTable, _checked, _dumps, _mask_of, _ports
+from .engine import _value_checks, check_cohort, run_states
 from .robot_core import NO_MUTATIONS, RobotState
 from .words import normalize_index, transformed_length
 
@@ -31,6 +32,7 @@ from .words import normalize_index, transformed_length
 CONFINEMENT_ACTIVE = "active"
 CONFINEMENT_ESCAPED = "escaped"
 CONFINEMENT_SELF_STARVED = "self_starved"
+CONFINEMENT_OUT_OF_CLASS = "out_of_class"
 
 
 class ConfinementAdversary:
@@ -43,7 +45,10 @@ class ConfinementAdversary:
     window end the episode ("escaped": the adversary stops interfering);
     a cohort that stops moving for `stall_cap` rounds is declared
     self-starving, which itself witnesses non-exploration, and the
-    current removal is kept frozen.
+    current removal is kept frozen.  A cohort that keeps moving while both
+    boundary edges stay absent for more than `stall_cap` rounds is
+    confined only by a ring split in two, outside the connected-over-time
+    class ("out_of_class"); the removals go on unchanged.
     """
 
     def __init__(self, n: int, window_start: int = 1, stall_cap: int = 100):
@@ -56,11 +61,14 @@ class ConfinementAdversary:
         self.stall_cap = stall_cap
         self.status = CONFINEMENT_ACTIVE
         self.waiting = 0
+        # Rounds in a row, up to the last one, with both boundary edges absent.
+        self.absent_together = 0
         self._last_positions: tuple[int, ...] | None = None
         # Boundary and interior edges of the window, by the proof's names.
         self.e_vl = (self.v - 1) % n
         self.e_wr = self.w
         self.e_xr = self.x
+        self._both = _mask_of((self.e_vl, self.e_xr))
 
     def _case_removal(self, occupied: frozenset[int]) -> int:
         v, w, x = self.v, self.w, self.x
@@ -74,10 +82,7 @@ class ConfinementAdversary:
             edges = (self.e_wr,)
         else:  # pragma: no cover - guarded by the escape check
             raise AssertionError(f"occupied set {set(occupied)} outside window")
-        mask = 0
-        for e in edges:
-            mask |= 1 << e
-        return mask
+        return _mask_of(edges)
 
     def choose_mask(self, t: int, view: RunView) -> int:
         full = view.full_mask
@@ -95,9 +100,14 @@ class ConfinementAdversary:
         if not occupied <= {self.v, self.w, self.x}:
             self.status = CONFINEMENT_ESCAPED
             return full
-        if self.status == CONFINEMENT_ACTIVE and self.waiting > self.stall_cap:
-            self.status = CONFINEMENT_SELF_STARVED
-        return full & ~self._case_removal(occupied)
+        if self.status == CONFINEMENT_ACTIVE:
+            if self.waiting > self.stall_cap:
+                self.status = CONFINEMENT_SELF_STARVED
+            elif self.absent_together > self.stall_cap:
+                self.status = CONFINEMENT_OUT_OF_CLASS
+        removal = self._case_removal(occupied)
+        self.absent_together = self.absent_together + 1 if removal == self._both else 0
+        return full & ~removal
 
 
 VERDICT_CONFINABLE = "ConfinableForever"
@@ -117,29 +127,24 @@ def state_key(
 ) -> tuple[tuple, int]:
     """Canonical game-state key under ring rotation, plus the rotation used.
 
-    The read index enters normalized (two indices congruent mod ell are
-    behaviorally identical) and nrpea capped at k+1 (all counts above the
-    cohort size satisfy the same comparisons).  Among rotations yielding
-    the minimal key, the smallest rotation wins, which keeps replay
-    deterministic.
+    The rotation puts robot 0 on node 0, so two configurations that differ
+    by a rotation get one key.  The read index enters normalized into
+    1..ell (two indices congruent mod ell are behaviorally identical) and
+    nrpea capped at k+1 (all counts above the cohort size satisfy the
+    same comparisons).
     """
-    k = len(pos)
-    cap = k + 1
-    norm_idx = tuple(normalize_index(i, ells[r]) for r, i in enumerate(idx))
-    norm_nr = tuple(min(v, cap) for v in nrpea)
-    hm = tuple(bool(v) for v in hmpea)
-    gd = tuple(bool(v) for v in gdir_cw)
-    full = (1 << n) - 1
-    best = None
-    best_rot = 0
-    for rot in range(n):
-        rpos = tuple((p + rot) % n for p in pos)
-        rvis = ((visited_mask << rot) | (visited_mask >> (n - rot))) & full if rot else visited_mask
-        key = (rpos, gd, norm_idx, norm_nr, hm, rvis)
-        if best is None or key < best:
-            best = key
-            best_rot = rot
-    return best, best_rot  # type: ignore[return-value]
+    rot = -pos[0] % n
+    cap = len(pos) + 1
+    vis = ((visited_mask << rot) | (visited_mask >> (n - rot))) & ((1 << n) - 1)
+    key = (
+        tuple((p + rot) % n for p in pos),
+        tuple(bool(v) for v in gdir_cw),
+        tuple(normalize_index(i, ell) for i, ell in zip(idx, ells)),
+        tuple(min(v, cap) for v in nrpea),
+        tuple(bool(v) for v in hmpea),
+        vis,
+    )
+    return key, rot
 
 
 def _key_str(key: tuple) -> str:
@@ -178,14 +183,6 @@ class SearchResult:
     state_budget: int
     max_absent: int
     witness: Witness | None = None
-    explored_keys: set[tuple] | None = None  # populated on request
-
-
-def _positions_mask(pos: Sequence[int]) -> int:
-    m = 0
-    for p in pos:
-        m |= 1 << p
-    return m
 
 
 class _GameContext:
@@ -202,7 +199,7 @@ class _GameContext:
         idx = [r.i for r in robots]
         nr = [r.nrpea for r in robots]
         hm = [1 if r.hmpea else 0 for r in robots]
-        key, _ = state_key(self.n, pos, gdir, idx, nr, hm, _positions_mask(pos), self.ells)
+        key, _ = state_key(self.n, pos, gdir, idx, nr, hm, _mask_of(pos), self.ells)
         return key
 
     def choices(self, key: tuple) -> list[int]:
@@ -212,11 +209,7 @@ class _GameContext:
         out = []
         top = min(self.max_absent, len(incident))
         for size in range(top, -1, -1):
-            for combo in combinations(incident, size):
-                m = 0
-                for e in combo:
-                    m |= 1 << e
-                out.append(m)
+            out += map(_mask_of, combinations(incident, size))
         return out
 
     def transition(self, key: tuple, absent_mask: int) -> tuple:
@@ -235,7 +228,7 @@ class _GameContext:
             idx_l.append(i)
             nr_l.append(nrpea)
             hm_l.append(hmpea)
-        new_vis = vis | _positions_mask(new_pos)
+        new_vis = vis | _mask_of(new_pos)
         child, _ = state_key(n, new_pos, gdir, idx_l, nr_l, hm_l, new_vis, self.ells)
         return child
 
@@ -246,7 +239,6 @@ def game_search(
     algo: str,
     max_absent: int = 1,
     state_budget: int = 2_000_000,
-    collect_states: bool = False,
 ) -> SearchResult:
     """Exhaustive search for an adversary that starves some node forever.
 
@@ -262,18 +254,14 @@ def game_search(
     """
     if n > 6 or len(robots) > 3:
         raise ValueError("game search is desk-scale: need n <= 6 and <= 3 robots")
-    if algo not in (ALGO_PEF3, ALGO_PEF2):
-        raise ValueError(f"unknown algo {algo!r}")
+    check_cohort(n, algo, robots)
     if max_absent < 0 or max_absent > n:
         raise ValueError(f"max_absent must be in 0..{n}")
     ctx = _GameContext(n, algo, robots, max_absent)
     full_visited = ctx.full
     start = ctx.start_state(robots)
     if start[5] == full_visited:
-        return SearchResult(
-            VERDICT_NOT_CONFINABLE, 0, state_budget, max_absent,
-            explored_keys=set() if collect_states else None,
-        )
+        return SearchResult(VERDICT_NOT_CONFINABLE, 0, state_budget, max_absent)
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[tuple, int] = {start: GRAY}
@@ -299,19 +287,13 @@ def game_search(
         if st == BLACK:
             continue
         if explored >= state_budget:
-            return SearchResult(
-                VERDICT_INCONCLUSIVE, explored, state_budget, max_absent,
-                explored_keys=set(color) if collect_states else None,
-            )
+            return SearchResult(VERDICT_INCONCLUSIVE, explored, state_budget, max_absent)
         color[child] = GRAY
         explored += 1
         stack.append([child, ctx.choices(child), -1])
 
     if cycle_entry is None:
-        return SearchResult(
-            VERDICT_NOT_CONFINABLE, explored, state_budget, max_absent,
-            explored_keys=set(color) if collect_states else None,
-        )
+        return SearchResult(VERDICT_NOT_CONFINABLE, explored, state_budget, max_absent)
 
     policy: dict[str, tuple[int, ...]] = {}
     for state, choices, idx in stack:
@@ -330,10 +312,7 @@ def game_search(
         cycle_length=cycle_length,
     )
     _annotate_witness(witness)
-    return SearchResult(
-        VERDICT_CONFINABLE, explored, state_budget, max_absent, witness,
-        explored_keys=set(color) if collect_states else None,
-    )
+    return SearchResult(VERDICT_CONFINABLE, explored, state_budget, max_absent, witness)
 
 
 def _annotate_witness(witness: Witness) -> None:
@@ -355,8 +334,8 @@ def _annotate_witness(witness: Witness) -> None:
     witness.starved_nodes = tuple(sorted(set(range(witness.n)) - seen))
 
 
-class WitnessReplayError(RuntimeError):
-    pass
+class WitnessReplayError(ValueError):
+    """The play reached a state the witness policy does not cover."""
 
 
 class WitnessStrategy:
@@ -369,7 +348,7 @@ class WitnessStrategy:
 
     def choose_mask(self, t: int, view: RunView) -> int:
         n = view.n
-        self._visited |= _positions_mask(view.pos)
+        self._visited |= _mask_of(view.pos)
         gdir = [right == cw_frame for right, cw_frame in zip(view.dir_right, view.chir_cw)]
         key, rot = state_key(
             n, view.pos, gdir, view.idx, view.nrpea, view.hmpea, self._visited, self._ells
@@ -377,10 +356,7 @@ class WitnessStrategy:
         absent = self.witness.policy.get(_key_str(key))
         if absent is None:
             raise WitnessReplayError(f"round {t}: state not covered by witness policy")
-        mask = view.full_mask
-        for e in absent:
-            mask &= ~(1 << (e - rot) % n)
-        return mask
+        return view.full_mask & ~_mask_of((e - rot) % n for e in absent)
 
 
 def replay_witness(witness: Witness, rounds: int) -> Trace:
@@ -434,45 +410,73 @@ def write_witness_file(witness: Witness, path: str) -> None:
         write_witness(witness, fh)
 
 
+def _distinct(value, n: int, most: int, what: str) -> tuple[int, ...]:
+    """`value` as a tuple, if it is a list of at most `most` distinct ints
+    in 0..n-1 (edges or nodes of a ring of n); ValueError otherwise."""
+    if (
+        type(value) is not list
+        or not all(type(e) is int and 0 <= e < n for e in value)
+        or len(set(value)) != len(value)
+        or len(value) > most
+    ):
+        raise ValueError(
+            f"{what} {_dumps(value)} is not a list of at most {most} distinct ints in 0..{n - 1}"
+        )
+    return tuple(value)
+
+
 def read_witness(lines) -> Witness:
-    """Parse a witness file; malformed input raises ValueError."""
+    """Parse a witness file; malformed input raises ValueError naming the line."""
     it = iter(lines)
     lineno = 1
     try:
         header = json.loads(next(it, ""))
-        if header.get("format") != "ringsweep-witness":
+        if type(header) is not dict or header.get("format") != "ringsweep-witness":
             raise ValueError("not a ringsweep witness file")
-        robots = [
-            RobotState.make(
-                r["id"],
-                position=r["pos"],
-                direction=Direction(r["dir"]),
-                chirality=Chirality(r["chirality"]),
-                i=r["i"],
-                nrpea=r["nrpea"],
-                hmpea=r["hmpea"],
+        n = header["n"]
+        if type(n) is not int or not 3 <= n <= MAX_N:
+            raise ValueError(f"n {_dumps(n)} is not a ring size 3..{MAX_N}")
+        for key in ("max_absent", "path_length", "cycle_length"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise ValueError(f"{key} {_dumps(header[key])} is not an int >= 0")
+        if type(header["robots"]) is not list or not all(type(r) is dict for r in header["robots"]):
+            raise ValueError("robots is not a list of objects")
+        checks = _value_checks(n)
+        robots = []
+        for r in header["robots"]:
+            if type(r["id"]) is not int or r["id"] < 0:
+                raise ValueError(f"robot id {_dumps(r['id'])} is not an int >= 0")
+            pos, i, nrpea, hmpea = _checked(
+                checks, r, ("pos", "i", "nrpea", "hmpea"), f"robot {r['id']}: "
             )
-            for r in header["robots"]
-        ]
+            direction, chirality = Direction(r["dir"]), Chirality(r["chirality"])
+            robots.append(RobotState.make(r["id"], pos, direction, chirality, i, nrpea, hmpea))
         witness = Witness(
-            n=header["n"],
+            n=n,
             algo=header["algo"],
             max_absent=header["max_absent"],
             robots=robots,
             policy={},
             path_length=header["path_length"],
             cycle_length=header["cycle_length"],
-            cycle_always_absent=tuple(header["cycle_always_absent"]),
-            starved_nodes=tuple(header["starved_nodes"]),
+            cycle_always_absent=_distinct(header["cycle_always_absent"], n, n, "cycle_always_absent"),
+            starved_nodes=_distinct(header["starved_nodes"], n, n, "starved_nodes"),
         )
         for lineno, line in enumerate(it, start=2):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            witness.policy[rec["state"]] = tuple(rec["absent"])
+            if type(rec) is not dict:
+                raise ValueError("record is not an object")
+            state = rec["state"]
+            if type(state) is not str:
+                raise ValueError(f"state {_dumps(state)} is not a string")
+            witness.policy[state] = _distinct(rec["absent"], n, witness.max_absent, "absent")
         return witness
     except KeyError as exc:
         raise ValueError(f"witness line {lineno}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"witness line {lineno}: {exc}") from None
 
 
 def read_witness_file(path: str) -> Witness:

@@ -367,6 +367,24 @@ class _LiveView(RunView):
         return self._field(4)
 
 
+def check_cohort(n: int, algo: str, states: Sequence[RobotState]) -> None:
+    """ValueError unless `states` is a cohort that `algo` can run on a ring
+    of n nodes: n in 3..MAX_N, at least one robot, distinct ids, every
+    position a node, and a known algorithm."""
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"ring size must be in 3..{MAX_N}, got {n}")
+    if not states:
+        raise ValueError("the cohort needs at least one robot")
+    ids = [s.id for s in states]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"robot ids must be pairwise distinct, got {ids}")
+    for s in states:
+        if not 0 <= s.position < n:
+            raise ValueError(f"robot {s.id} position {s.position} outside 0..{n - 1}")
+    if algo not in (ALGO_PEF3, ALGO_PEF2):
+        raise ValueError(f"algo must be one of {ALGO_PEF3!r}, {ALGO_PEF2!r}, got {algo!r}")
+
+
 def run_states(
     n: int,
     algo: str,
@@ -388,19 +406,10 @@ def run_states(
         raise ValueError("provide exactly one of schedule or strategy")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if not 3 <= n <= MAX_N:
-        raise ValueError(f"ring size must be in 3..{MAX_N}, got {n}")
+    check_cohort(n, algo, states)
     bad = set(mutations) - KNOWN_MUTATIONS
     if bad:
         raise ValueError(f"unknown mutation flags: {sorted(bad)}")
-    ids = [s.id for s in states]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"robot ids must be pairwise distinct, got {ids}")
-    for s in states:
-        if not 0 <= s.position < n:
-            raise ValueError(f"robot {s.id} position {s.position} outside 0..{n - 1}")
-    if algo not in (ALGO_PEF3, ALGO_PEF2):
-        raise ValueError(f"algo must be one of {ALGO_PEF3!r}, {ALGO_PEF2!r}, got {algo!r}")
     if schedule is not None:
         strategy = StaticStrategy(schedule.masks(rounds))
 

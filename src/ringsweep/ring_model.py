@@ -56,12 +56,13 @@ class Schedule:
 
     n: int
 
-    def mask_at(self, t: int) -> int:
-        raise NotImplementedError
-
     def masks(self, horizon: int) -> list[int]:
         """Present-edge bitmasks for rounds 0..horizon-1."""
-        return [self.mask_at(t) for t in range(horizon)]
+        raise NotImplementedError
+
+    def mask_at(self, t: int) -> int:
+        """Present-edge bitmask for round t, as `masks` gives it."""
+        return self.masks(t + 1)[t]
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -73,9 +74,6 @@ class StaticSchedule(Schedule):
     def __init__(self, n: int):
         self.n = n
         self._mask = (1 << n) - 1
-
-    def mask_at(self, t: int) -> int:
-        return self._mask
 
     def masks(self, horizon: int) -> list[int]:
         return [self._mask] * horizon
@@ -135,16 +133,9 @@ class RecurrentRandomSchedule(Schedule):
         weights = 1 << np.arange(self.n, dtype=np.int64)
         self._materialized.extend(int(m) for m in present.astype(np.int64) @ weights)
 
-    def _extend_to(self, horizon: int) -> None:
+    def masks(self, horizon: int) -> list[int]:
         while len(self._materialized) < horizon:
             self._extend_block()
-
-    def mask_at(self, t: int) -> int:
-        self._extend_to(t + 1)
-        return self._materialized[t]
-
-    def masks(self, horizon: int) -> list[int]:
-        self._extend_to(horizon)
         return self._materialized[:horizon]
 
     def describe(self) -> dict:
@@ -170,10 +161,6 @@ class EventualMissingSchedule(Schedule):
         self.cutoff = cutoff
         self._clear = ~(1 << missing_edge)
         forced_missing_edge(self)  # rejects a second edge missing forever
-
-    def mask_at(self, t: int) -> int:
-        m = self.inner.mask_at(t)
-        return m & self._clear if t >= self.cutoff else m
 
     def masks(self, horizon: int) -> list[int]:
         out = self.inner.masks(horizon)
@@ -262,9 +249,6 @@ class RemovalSchedule(Schedule):
             if start <= t <= end:
                 m |= 1 << edge
         return m
-
-    def mask_at(self, t: int) -> int:
-        return self.inner.mask_at(t) & ~self._removed_mask(t)
 
     def masks(self, horizon: int) -> list[int]:
         out = self.inner.masks(horizon)

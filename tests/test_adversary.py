@@ -1,4 +1,5 @@
 """Adversary strategies: schedules, confinement window, game search, witnesses."""
+import hashlib
 import io
 import random
 
@@ -16,6 +17,7 @@ from ringsweep.ring_model import (
     EvolvingRing,
     Footprint,
     RecurrentRandomSchedule,
+    StaticSchedule,
     classify_prefix,
 )
 from ringsweep.robot_core import RobotState
@@ -136,6 +138,20 @@ class TestConfinementCases:
             if same_config:
                 assert trace.edges[t] == trace.edges[t - 1], f"removal changed mid-wait at {t}"
 
+    def test_split_ring_confinement_is_out_of_class(self):
+        # Against fuzzed trios on n = 4 the window holds e_vl = 0 and
+        # e_xr = 3 absent together while the cohort moves inside it: node 0
+        # starves only because the ring is split in two.
+        starved = 0
+        for s in range(50):
+            a = adv.ConfinementAdversary(4, stall_cap=100)
+            states = fuzz_initial(4, [0, 1, 2], random.Random(86_000 + s))
+            trace = run_states(4, "pef3", states, 3_000, strategy=a)
+            covered = analysis.coverage(trace, 1_500).covered
+            assert (a.status == adv.CONFINEMENT_OUT_OF_CLASS) == (not covered), s
+            starved += not covered
+        assert starved == 17
+
     def test_requires_ring_of_four(self):
         with pytest.raises(ValueError, match=">= 4"):
             adv.ConfinementAdversary(3)
@@ -193,25 +209,32 @@ class TestGameSearch:
             )
 
     def test_search_exhaustive_over_choice_set(self):
-        # For a NotConfinable verdict, any adversary policy drawn from the
-        # declared choice set must stay inside the explored state space
-        # until the play is lost (all nodes visited).
-        robots = [
+        # For a NotConfinable verdict the search has explored exactly the
+        # states reachable through the declared choice set before the play
+        # is lost (all nodes visited): 11 for this trio, and as many as
+        # reachable for fuzzed trios on n = 5.
+        trio = [
             RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True),
             RobotState.make(1, 1, L, CW, i=1, nrpea=1, hmpea=True),
             RobotState.make(2, 3, R, CW, i=1, nrpea=1, hmpea=True),
         ]
-        result = adv.game_search(4, robots, "pef3", collect_states=True)
-        assert result.verdict == adv.VERDICT_NOT_CONFINABLE
-        ctx = adv._GameContext(4, "pef3", robots, 1)
-        rng = random.Random(0)
-        for _ in range(100):
-            state = ctx.start_state(robots)
-            for _step in range(60):
-                if state[5] == ctx.full:
-                    break
-                assert state in result.explored_keys
-                state = ctx.transition(state, rng.choice(ctx.choices(state)))
+        cases = [(4, trio, 11)]
+        cases += [(5, fuzz_initial(5, [0, 1, 2], random.Random(s)), None) for s in range(5)]
+        for n, robots, expected in cases:
+            result = adv.game_search(n, robots, "pef3")
+            assert result.verdict == adv.VERDICT_NOT_CONFINABLE
+            ctx = adv._GameContext(n, "pef3", robots, 1)
+            start = ctx.start_state(robots)
+            reachable, frontier = {start}, [start]
+            while frontier:
+                state = frontier.pop()
+                for mask in ctx.choices(state):
+                    child = ctx.transition(state, mask)
+                    if child[5] != ctx.full and child not in reachable:
+                        reachable.add(child)
+                        frontier.append(child)
+            assert len(reachable) == result.explored
+            assert expected is None or result.explored == expected
 
     def test_witness_file_round_trip(self):
         result = adv.game_search(4, facing_pair(), "pef3")
@@ -232,6 +255,49 @@ class TestGameSearch:
         foreign = view_for(4, (2, 3))
         with pytest.raises(adv.WitnessReplayError):
             strategy.choose_mask(0, foreign)
+
+    @pytest.mark.parametrize(
+        "n,robots,algo,explored,digest",
+        [
+            (4, facing_pair(), "pef3", 2,
+             "d81d7bc2099440a8a008cad0660608dc137afa060a4aee47d064ce8411a8f5a8"),
+            (3, [RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True)], "pef2", 3,
+             "db89e0437615be0cc3fe0be5a62aaa48dde1aece20ba4256042422c1fc8c44d3"),
+            (4, [RobotState.make(r, r, R, CW, i=1, nrpea=1, hmpea=True) for r in range(3)],
+             "pef3", 4, None),
+        ],
+        ids=["facing-pair-pef3", "solo-pef2", "trio-pef3"],
+    )
+    def test_golden_criterion_5_searches(self, n, robots, algo, explored, digest):
+        # Pins the explored counts, and the witness format and canonical
+        # state keys byte for byte, as the golden trace digest pins traces.
+        result = adv.game_search(n, robots, algo)
+        assert result.explored == explored
+        if digest is None:
+            assert result.witness is None
+            return
+        buf = io.StringIO()
+        adv.write_witness(result.witness, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n,robots,algo,message",
+        [
+            (4, [], "pef3", "at least one robot"),
+            (4, [RobotState.make(0, 0), RobotState.make(0, 2)], "pef3", "pairwise distinct"),
+            (4, [RobotState.make(0, 4)], "pef3", "outside 0..3"),
+            (4, [RobotState.make(0, 0)], "pef4", "algo must be one of"),
+            (2, [RobotState.make(0, 0)], "pef2", "ring size"),
+        ],
+        ids=["no-robots", "twice-id-0", "off-ring", "unknown-algo", "n=2"],
+    )
+    @pytest.mark.parametrize("entry", ["game_search", "run_states"])
+    def test_bad_cohort_rejected_before_any_work(self, n, robots, algo, message, entry):
+        with pytest.raises(ValueError, match=message):
+            if entry == "game_search":
+                adv.game_search(n, robots, algo)
+            else:
+                run_states(n, algo, robots, 10, schedule=StaticSchedule(max(n, 3)))
 
     def test_fuzzed_three_robot_starts_not_confinable(self):
         for s in range(10):

@@ -299,6 +299,13 @@ class TestCli:
             ("witness", (0, "robots")),
             ("witness", (0, "robots", 0, "chirality")),
             ("witness", (1, "absent")),
+            ("witness", (1, "absent", Put(["x"]))),
+            ("witness", (1, "absent", Put(5))),
+            ("witness", (1, "absent", Put([99]))),
+            ("witness", (1, "state", Put([0, 1]))),
+            ("witness", (0, "n", Put("4"))),
+            ("witness", (0, "robots", Put(5))),
+            ("witness", (1, Put([1]))),
             ("simulate", ("--n", "64", "--robots", "0,1", "--rounds", "5")),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
@@ -340,6 +347,21 @@ class TestCli:
         else:
             assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
         assert f"{kind} line {path[0] + 1}" in capsys.readouterr().err
+
+    def test_witness_missing_a_policy_record_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "witness.jsonl"
+        argv = ["search", "--n", "4", "--robots", "0,1",
+                "--robot", "id=0 pos=0 dir=R chirality=cw i=1 nrpea=1 hmpea=true",
+                "--robot", "id=1 pos=1 dir=L chirality=cw i=1 nrpea=1 hmpea=true",
+                "--witness-out", str(target)]
+        assert cli.main(argv) == 0
+        header, *records = target.read_text().splitlines(keepends=True)
+        assert len(records) == 2
+        for dropped in range(len(records)):
+            target.write_text(header + "".join(records[:dropped] + records[dropped + 1:]))
+            capsys.readouterr()
+            assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
+            assert "not covered by witness policy" in capsys.readouterr().err
 
     def test_scenario_file_with_flag_override(self, tmp_path, capsys):
         scen = tmp_path / "scenario.txt"
