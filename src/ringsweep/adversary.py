@@ -69,6 +69,14 @@ class ConfinementAdversary:
         self.e_wr = self.w
         self.e_xr = self.x
         self._both = _mask_of((self.e_vl, self.e_xr))
+        # The removal for each non-empty occupied subset of the window, by
+        # its node bitmask; an occupancy missing here has left the window.
+        window = (self.v, self.w, self.x)
+        self._removals = {
+            _mask_of(occupied): self._case_removal(frozenset(occupied))
+            for size in (1, 2, 3)
+            for occupied in combinations(window, size)
+        }
 
     def _case_removal(self, occupied: frozenset[int]) -> int:
         v, w, x = self.v, self.w, self.x
@@ -96,8 +104,8 @@ class ConfinementAdversary:
             self.waiting += 1
         if self.status == CONFINEMENT_ESCAPED:
             return full
-        occupied = frozenset(pos)
-        if not occupied <= {self.v, self.w, self.x}:
+        removal = self._removals.get(_mask_of(pos))
+        if removal is None:
             self.status = CONFINEMENT_ESCAPED
             return full
         if self.status == CONFINEMENT_ACTIVE:
@@ -105,7 +113,6 @@ class ConfinementAdversary:
                 self.status = CONFINEMENT_SELF_STARVED
             elif self.absent_together > self.stall_cap:
                 self.status = CONFINEMENT_OUT_OF_CLASS
-        removal = self._case_removal(occupied)
         self.absent_together = self.absent_together + 1 if removal == self._both else 0
         return full & ~removal
 
@@ -339,24 +346,43 @@ class WitnessReplayError(ValueError):
 
 
 class WitnessStrategy:
-    """Replays a witness policy; raises if the play ever leaves it."""
+    """Replays a witness policy; raises if the play ever leaves it.
+
+    The policy's choice is a function of the run's raw state: the visited
+    mask, the positions and the robots' variables.  So each distinct raw
+    state is decided once, through its canonical key, and its
+    present-edge mask is memoized; a state the policy does not cover
+    raises the first time it is reached.  One strategy serves one run,
+    since the visited mask and the variable codes of a `_LiveView` belong
+    to that run.
+    """
 
     def __init__(self, witness: Witness):
         self.witness = witness
         self._ells = [transformed_length(r.id) for r in witness.robots]
         self._visited = 0
+        # (visited before the round, *pos, *variables) -> (visited, mask).
+        self._memo: dict[tuple, tuple[int, int]] = {}
 
     def choose_mask(self, t: int, view: RunView) -> int:
+        raw = (self._visited, *view.pos, *view.variables)
+        hit = self._memo.get(raw)
+        if hit is None:
+            hit = self._memo[raw] = self._decide(t, view)
+        self._visited, mask = hit
+        return mask
+
+    def _decide(self, t: int, view: RunView) -> tuple[int, int]:
         n = view.n
-        self._visited |= _mask_of(view.pos)
+        visited = self._visited | _mask_of(view.pos)
         gdir = [right == cw_frame for right, cw_frame in zip(view.dir_right, view.chir_cw)]
         key, rot = state_key(
-            n, view.pos, gdir, view.idx, view.nrpea, view.hmpea, self._visited, self._ells
+            n, view.pos, gdir, view.idx, view.nrpea, view.hmpea, visited, self._ells
         )
         absent = self.witness.policy.get(_key_str(key))
         if absent is None:
             raise WitnessReplayError(f"round {t}: state not covered by witness policy")
-        return view.full_mask & ~_mask_of((e - rot) % n for e in absent)
+        return visited, view.full_mask & ~_mask_of((e - rot) % n for e in absent)
 
 
 def replay_witness(witness: Witness, rounds: int) -> Trace:

@@ -333,6 +333,13 @@ class RunView:
     nrpea: list[int]
     hmpea: list[int]
 
+    @property
+    def variables(self) -> tuple:
+        """One hashable read of the robots' variables: two views of one run
+        give equal values exactly when `dir_right`, `idx`, `nrpea` and
+        `hmpea` are equal."""
+        return tuple(map(tuple, (self.dir_right, self.idx, self.nrpea, self.hmpea)))
+
 
 class _LiveView(RunView):
     """The RunView `run_states` hands a strategy.
@@ -345,6 +352,11 @@ class _LiveView(RunView):
     def __init__(self, n: int, table: _LocalTable, pos: list[int], codes: list[int]):
         self.n, self.full_mask, self.chir_cw = n, (1 << n) - 1, table.chir_cw
         self.pos, self.codes, self._table = pos, codes, table
+
+    @property
+    def variables(self) -> tuple:
+        # The run's table interns each robot's variables to one code.
+        return tuple(self.codes)
 
     def _field(self, f: int) -> list:
         states, shift = self._table.locals, self._table.shift

@@ -61,8 +61,18 @@ class Schedule:
         raise NotImplementedError
 
     def mask_at(self, t: int) -> int:
-        """Present-edge bitmask for round t, as `masks` gives it."""
-        return self.masks(t + 1)[t]
+        """Present-edge bitmask for round t, as `masks` gives it.
+
+        Served from a cached prefix that at least doubles whenever `t` is
+        past it, so reading rounds one at a time costs O(log t) `masks`
+        calls rather than one per round.
+        """
+        if t < 0:
+            raise ValueError(f"round index must be >= 0, got {t}")
+        prefix = self.__dict__.get("_mask_prefix", [])
+        if t >= len(prefix):
+            prefix = self._mask_prefix = self.masks(max(t + 1, 2 * len(prefix)))
+        return prefix[t]
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -282,14 +292,10 @@ class EvolvingRing:
         return self.footprint.n
 
     def edges_at(self, t: int) -> frozenset[int]:
-        if t < 0:
-            raise ValueError(f"round index must be >= 0, got {t}")
         mask = self.schedule.mask_at(t)
         return frozenset(e for e in range(self.n) if mask >> e & 1)
 
     def mask_at(self, t: int) -> int:
-        if t < 0:
-            raise ValueError(f"round index must be >= 0, got {t}")
         return self.schedule.mask_at(t)
 
     def masks(self, horizon: int) -> list[int]:

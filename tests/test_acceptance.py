@@ -225,6 +225,39 @@ def _facing_pair():
     ]
 
 
+def _longest_run(flags) -> int:
+    longest = run = 0
+    for flag in flags:
+        run = run + 1 if flag else 0
+        longest = max(longest, run)
+    return longest
+
+
+def _window_fallback(runs: int = 50) -> tuple[bool, str]:
+    """Criterion 5(c) without a search verdict: the window adversary plays
+    `runs` fuzzed n = 4 trios.  Every run it keeps inside the
+    connected-over-time class must be covered.  A run it reports
+    out_of_class starves a node only because the ring is split, so it must
+    show both boundary edges absent together for more than `stall_cap`
+    consecutive rounds."""
+    in_class, split, bad = 0, 0, []
+    for s in range(runs):
+        strat = adv.ConfinementAdversary(4, stall_cap=100)
+        states = fuzz_initial(4, [0, 1, 2], random.Random(86_000 + s))
+        trace = run_states(4, "pef3", states, 3_000, strategy=strat)
+        if strat.status == adv.CONFINEMENT_OUT_OF_CLASS:
+            both = 1 << strat.e_vl | 1 << strat.e_xr
+            split += 1
+            if _longest_run((trace.edges & both) == 0) <= strat.stall_cap:
+                bad.append((s, strat.status))
+        else:
+            in_class += 1
+            if not analysis.coverage(trace, 1_500).covered:
+                bad.append((s, strat.status))
+    detail = f"window fallback: {in_class} in-class and {split} out-of-class runs"
+    return not bad, detail + (f"; failing seeds {bad}" if bad else ", each covered or split")
+
+
 def test_criterion_5_impossibility_demonstrations():
     # (a) two robots are confinable and the witness starves a node forever
     res_a = adv.game_search(4, _facing_pair(), "pef3", state_budget=100_000_000)
@@ -242,7 +275,7 @@ def test_criterion_5_impossibility_demonstrations():
     ok_b = res_b.verdict == adv.VERDICT_CONFINABLE
 
     # (c) three robots are not confinable, or the search is inconclusive and
-    # the heuristic confinement adversary fails against them across 50 seeds
+    # the window adversary confines none of 50 fuzzed trios inside the class
     trio = [
         RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True),
         RobotState.make(1, 1, R, CW, i=1, nrpea=1, hmpea=True),
@@ -253,15 +286,8 @@ def test_criterion_5_impossibility_demonstrations():
         ok_c = True
         detail_c = f"NotConfinable after {res_c.explored} states"
     elif res_c.verdict == adv.VERDICT_INCONCLUSIVE:
-        covered = 0
-        for s in range(50):
-            strat = adv.ConfinementAdversary(4, stall_cap=100)
-            states = fuzz_initial(4, [0, 1, 2], random.Random(86_000 + s))
-            trace = run_states(4, "pef3", states, 3_000, strategy=strat)
-            if analysis.coverage(trace, 1_500).covered:
-                covered += 1
-        ok_c = covered == 50
-        detail_c = f"Inconclusive at budget; heuristic fallback covered {covered}/50"
+        ok_c, detail_c = _window_fallback()
+        detail_c = f"Inconclusive at budget; {detail_c}"
     else:
         ok_c = False
         detail_c = res_c.verdict

@@ -9,7 +9,7 @@ import pytest
 
 from ringsweep import adversary as adv
 from ringsweep import analysis
-from ringsweep.directions import Chirality, Direction
+from ringsweep.directions import Chirality, Direction, GlobalDirection, to_global
 from ringsweep.engine import RunView, fuzz_initial, run_states
 from ringsweep.ring_model import (
     EdgeClass,
@@ -79,6 +79,36 @@ def view_for(n, positions):
         nrpea=[1] * k,
         hmpea=[1] * k,
     )
+
+
+def policy_keys(witness, trace):
+    """The policy key of each replayed round, recomputed from the trace
+    columns; asserts that each round's mask is the policy's choice rotated
+    back onto the ring."""
+    n, robots = witness.n, witness.robots
+    full = (1 << n) - 1
+    ells = [r.ell for r in robots]
+    variables = (
+        [to_global(r.direction, r.chirality) is GlobalDirection.CLOCKWISE for r in robots],
+        [r.i for r in robots],
+        [r.nrpea for r in robots],
+        [r.hmpea for r in robots],
+    )
+    visited = 0
+    for t in range(trace.rounds):
+        pos = trace.pos[t].tolist()
+        visited |= sum(1 << p for p in set(pos))
+        if t:
+            # Columns hold each round's post-Compute variables: the state
+            # the next round starts from.
+            variables = [trace.gdir_cw[t - 1], trace.idx[t - 1], trace.nrpea[t - 1],
+                         trace.hmpea[t - 1]]
+            variables = [col.tolist() for col in variables]
+        key, rot = adv.state_key(n, pos, *variables, visited, ells)
+        key = adv._key_str(key)
+        absent = sum(1 << (e - rot) % n for e in witness.policy[key])
+        assert int(trace.edges[t]) == full & ~absent, t
+        yield key
 
 
 class TestConfinementCases:
@@ -151,6 +181,25 @@ class TestConfinementCases:
             assert (a.status == adv.CONFINEMENT_OUT_OF_CLASS) == (not covered), s
             starved += not covered
         assert starved == 17
+
+    def test_occupancy_table_matches_case_analysis(self):
+        # Every occupied node set on n = 4..7, for every window: the case
+        # analysis's removal while the set lies inside the window, and the
+        # full mask with status "escaped" once a robot stands outside it.
+        for n in range(4, 8):
+            full = (1 << n) - 1
+            for start in range(n):
+                window = {start, (start + 1) % n, (start + 2) % n}
+                for bits in range(1, full + 1):
+                    occupied = [p for p in range(n) if bits >> p & 1]
+                    a = adv.ConfinementAdversary(n, window_start=start)
+                    mask = a.choose_mask(0, view_for(n, occupied))
+                    if set(occupied) <= window:
+                        assert mask == full & ~a._case_removal(frozenset(occupied))
+                        assert a.status == adv.CONFINEMENT_ACTIVE
+                    else:
+                        assert mask == full
+                        assert a.status == adv.CONFINEMENT_ESCAPED
 
     def test_requires_ring_of_four(self):
         with pytest.raises(ValueError, match=">= 4"):
@@ -248,6 +297,48 @@ class TestGameSearch:
         trace_b = adv.replay_witness(back, 200)
         assert (trace_a.pos == trace_b.pos).all()
         assert (trace_a.edges == trace_b.edges).all()
+
+    def test_replayed_masks_follow_the_policy_every_round(self):
+        # Each round's mask, recomputed from the trace columns through the
+        # canonical key, the policy and the rotation back; then each policy
+        # record dropped in turn makes the replay fail at the round that
+        # first reaches its state.
+        rng = random.Random(2024)
+        witnesses = []
+        while len(witnesses) < 24:
+            n, k = rng.randint(4, 6), rng.randint(1, 3)
+            states = fuzz_initial(n, list(range(k)), rng)
+            result = adv.game_search(n, states, "pef3", max_absent=rng.randint(1, 2))
+            if result.witness is not None:
+                witnesses.append(result.witness)
+        assert {len(w.robots) for w in witnesses} == {1, 2, 3}
+        for w in witnesses:
+            rounds = w.path_length + 3 * w.cycle_length
+            trace = adv.replay_witness(w, rounds)
+            first_reached = {}
+            for t, key in enumerate(policy_keys(w, trace)):
+                first_reached.setdefault(key, t)
+            assert set(first_reached) == set(w.policy)
+            for key, t in first_reached.items():
+                dropped = adv.Witness(**{**vars(w), "policy": dict(w.policy)})
+                del dropped.policy[key]
+                with pytest.raises(adv.WitnessReplayError, match=f"^round {t}:"):
+                    adv.replay_witness(dropped, rounds)
+
+    def test_replay_decides_again_when_only_the_visited_mask_changed(self):
+        # Rounds 0 and 2 show one configuration; in between the robots have
+        # visited every node, so round 2 is another policy state.
+        views = [view_for(4, (0, 1)), view_for(4, (3, 2)), view_for(4, (0, 1))]
+        visited, policy, expected = 0, {}, []
+        for edge, view in enumerate(views):
+            visited |= adv._mask_of(view.pos)
+            key, rot = adv.state_key(4, view.pos, view.dir_right, view.idx, view.nrpea,
+                                     view.hmpea, visited, [r.ell for r in facing_pair()])
+            policy[adv._key_str(key)] = (edge,)
+            expected.append(0b1111 & ~(1 << (edge - rot) % 4))
+        witness = adv.Witness(4, "pef3", 1, facing_pair(), policy, 0, 3)
+        strategy = adv.WitnessStrategy(witness)
+        assert [strategy.choose_mask(t, v) for t, v in enumerate(views)] == expected
 
     def test_witness_replay_rejects_foreign_state(self):
         result = adv.game_search(4, facing_pair(), "pef3")

@@ -166,11 +166,16 @@ class ReferenceCheckingStrategy:
         self.cfg = Configuration(0, tuple(states))
         self.rng = random.Random(seed)
         self.masks = []
+        # (view.variables, decoded variables) of every round.
+        self.variables = set()
 
     def choose_mask(self, t, view):
         if t:
             self.cfg = step(self.cfg, self.masks[-1], self.algo, self.n, self.mutations)
         robots = self.cfg.robots
+        decoded = (tuple(view.dir_right), tuple(view.idx), tuple(view.nrpea),
+                   tuple(bool(h) for h in view.hmpea))
+        self.variables.add((view.variables, decoded))
         assert (view.n, view.full_mask) == (self.n, (1 << self.n) - 1)
         assert view.pos == [s.position for s in robots], t
         assert view.dir_right == [s.direction is Direction.RIGHT for s in robots], t
@@ -193,6 +198,9 @@ def test_reactive_view_shows_reference_state():
         strategy = ReferenceCheckingStrategy(n, algo, states, mutations, case)
         trace = run_states(n, algo, states, 300, strategy=strategy, mutations=mutations)
         assert trace.edges.tolist() == strategy.masks
+        # Variable keys are equal exactly when the decoded variables are.
+        pairs = strategy.variables
+        assert len({key for key, _ in pairs}) == len({dec for _, dec in pairs}) == len(pairs)
         want, _ = reference_columns(n, algo, states, strategy.masks, mutations)
         for name, rows in want.items():
             assert np.array_equal(getattr(trace, name), rows), (case, name)

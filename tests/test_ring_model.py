@@ -1,4 +1,5 @@
 """Footprints, schedules, the removal operator and prefix classification."""
+import math
 import random
 
 import pytest
@@ -108,6 +109,24 @@ def test_recurrent_reproducible_and_query_order_independent():
     incremental = RecurrentRandomSchedule(7, 0.4, 6, 123)
     got = [incremental.mask_at(t) for t in range(5000)]
     assert got == bulk
+
+
+def test_mask_at_reads_rounds_in_logarithmically_many_masks_calls():
+    rounds = 20_000
+    bulk = EventualMissingSchedule(RecurrentRandomSchedule(6, 0.5, 8, 1), 2, 100).masks(rounds)
+    sched = EventualMissingSchedule(RecurrentRandomSchedule(6, 0.5, 8, 1), 2, 100)
+    horizons = []
+    masks = sched.masks
+
+    def spy(horizon):
+        horizons.append(horizon)
+        return masks(horizon)
+
+    sched.masks = spy
+    assert [sched.mask_at(t) for t in range(rounds)] == bulk
+    assert len(horizons) <= math.ceil(math.log2(rounds)) + 2, horizons
+    with pytest.raises(ValueError, match=">= 0"):
+        sched.mask_at(-1)
 
 
 @pytest.mark.parametrize("p,bound,seed", [(0.5, 8, 11), (0.1, 4, 9), (0.0, 6, 1)])
