@@ -54,6 +54,8 @@ class ConfinementAdversary:
     def __init__(self, n: int, window_start: int = 1, stall_cap: int = 100):
         if n < 4:
             raise ValueError("confinement window needs a ring of size >= 4")
+        if stall_cap < 0:
+            raise ValueError(f"stall_cap must be >= 0, got {stall_cap}")
         self.n = n
         self.v = window_start % n
         self.w = (window_start + 1) % n
@@ -264,6 +266,8 @@ def game_search(
     check_cohort(n, algo, robots)
     if max_absent < 0 or max_absent > n:
         raise ValueError(f"max_absent must be in 0..{n}")
+    if state_budget < 1:
+        raise ValueError(f"state_budget must be >= 1, got {state_budget}")
     ctx = _GameContext(n, algo, robots, max_absent)
     full_visited = ctx.full
     start = ctx.start_state(robots)

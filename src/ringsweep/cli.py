@@ -109,6 +109,10 @@ def _simulate_one(sc: Scenario, out_path: str | None, print_prefix: str = "") ->
     if sc.adversary and sc.adversary.startswith("witness:"):
         # The witness embeds its own cohort and ring; the scenario only
         # contributes the horizon.
+        if sc.mutations:
+            raise ScenarioError({
+                "mutations": "a witness replays the unmutated rules it was searched with",
+            })
         witness = adv.read_witness_file(sc.adversary.split(":", 1)[1])
         trace = adv.replay_witness(witness, sc.rounds)
     else:
@@ -201,6 +205,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_words(args) -> int:
+    if args.table is not None and args.table < 0:
+        raise ValueError(f"--table MAX_ID must be >= 0, got {args.table}")
     did_something = False
     if args.transform is not None:
         print(transform_identifier(args.transform))

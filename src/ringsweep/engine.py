@@ -15,6 +15,12 @@ memoized per run in a `_LocalTable`, so a long run computes each distinct
 (local state, observation) pair once; the game search in `adversary`
 steps through the same table.  Property tests hold the two bit-identical.
 
+`run_states` has two loops over that table.  Under a schedule every robot
+steps through it every round.  Under a reactive strategy the whole cohort
+steps through one configuration memo on top of it, because reactive
+adversaries hold the cohort in a handful of configurations, while a random
+schedule keeps bringing new ones and the memo would only add lookups.
+
 Traces are stored columnar (one numpy array per field) with the canonical
 per-round robot state being the post-Compute one; the line-delimited file
 format is documented in the README.
@@ -306,16 +312,6 @@ class Trace:
         return out
 
 
-class StaticStrategy:
-    """Adapter exposing a precomputed schedule through the reactive protocol."""
-
-    def __init__(self, masks: list[int]):
-        self._masks = masks
-
-    def choose_mask(self, t: int, trace_view: "RunView") -> int:
-        return self._masks[t]
-
-
 @dataclass
 class RunView:
     """Read-only window a reactive adversary gets each round: the ring and
@@ -344,19 +340,23 @@ class RunView:
 class _LiveView(RunView):
     """The RunView `run_states` hands a strategy.
 
-    `pos` is the run's live position list; the variables are decoded from
-    the robots' local-state codes when read, so a strategy that reads only
-    positions pays nothing for them.
+    `pos` and `codes` are what the run keeps for the current
+    configuration, shared by every round that reaches it (so a strategy
+    that mutated them would corrupt the run); the variables are decoded
+    from the robots' local-state codes when read, so a strategy that reads
+    only positions pays nothing for them.
     """
 
-    def __init__(self, n: int, table: _LocalTable, pos: list[int], codes: list[int]):
+    def __init__(self, n: int, table: _LocalTable):
         self.n, self.full_mask, self.chir_cw = n, (1 << n) - 1, table.chir_cw
-        self.pos, self.codes, self._table = pos, codes, table
+        self._table = table
+        self.pos: list[int] = []
+        self.codes: tuple[int, ...] = ()
 
     @property
     def variables(self) -> tuple:
         # The run's table interns each robot's variables to one code.
-        return tuple(self.codes)
+        return self.codes
 
     def _field(self, f: int) -> list:
         states, shift = self._table.locals, self._table.shift
@@ -411,8 +411,19 @@ def run_states(
 
     Exactly one of `schedule` and `strategy` must be given; a strategy is
     consulted every round with the live state view and returns the
-    bitmask of edges present that round.  Each robot steps through the
-    run's `_LocalTable`.
+    bitmask of edges present that round.  Both step the robots through
+    the run's `_LocalTable`, in two loops:
+
+    - under a schedule (`_run_schedule`) each robot steps through the
+      table every round.  A random schedule keeps bringing new
+      configurations (84k-90k distinct ones in 160k rounds of an n=4
+      trio), so there a configuration memo makes a round take about three
+      times as long;
+    - under a strategy (`_run_strategy`) the whole cohort steps through
+      one configuration memo.  Reactive adversaries keep the cohort in a
+      small part of the game (a witness is a lasso, the window adversary
+      holds it in three nodes), so such a run visits a handful of
+      configurations and computes each successor once.
     """
     if (schedule is None) == (strategy is None):
         raise ValueError("provide exactly one of schedule or strategy")
@@ -422,50 +433,19 @@ def run_states(
     bad = set(mutations) - KNOWN_MUTATIONS
     if bad:
         raise ValueError(f"unknown mutation flags: {sorted(bad)}")
-    if schedule is not None:
-        strategy = StaticStrategy(schedule.masks(rounds))
 
-    k = len(states)
     table = _LocalTable(algo, states, mutations)
     pos = [s.position for s in states]
     codes = [
         table.code((r, s.direction is Direction.RIGHT, s.i, s.nrpea, int(s.hmpea)))
         for r, s in enumerate(states)
     ]
-    view = _LiveView(n, table, pos, codes)
-    choose, memo, fill, n1 = strategy.choose_mask, table.next, table.fill, n - 1
-    # ring[p + step] is the node that `step` leads to from node p.
-    ring = [*range(n), 0, n1]
-    rec_edges: list[int] = []
-    rec_pos: list[int] = []
-    rec_codes: list[int] = []
-    recorded = ((rec_edges, np.int64), (rec_pos, np.int16), (rec_codes, np.int64))
-    chunks: list[list[np.ndarray]] = [[] for _ in recorded]
-
-    # The record lists are emptied into numpy every `_CHUNK_ROUNDS` rounds,
-    # so a long run never holds a whole trace as Python lists.
-    for start in range(0, rounds, _CHUNK_ROUNDS):
-        for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
-            view.pos, view.codes = pos, codes
-            mask = choose(t, view)
-            rec_edges.append(mask)
-            rec_pos += pos
-            ports = mask << 1 | mask >> n1 & 1  # _ports(mask, n), inlined
-            new_pos, new_codes = [], []
-            for p, code in zip(pos, codes):
-                # _LocalTable.after, inlined.
-                key = code | pos.count(p) << 2 | ports >> p & 3
-                try:
-                    code, step = memo[key]
-                except KeyError:
-                    code, step = fill(key)
-                new_pos.append(ring[p + step])
-                new_codes.append(code)
-            pos, codes = new_pos, new_codes
-            rec_codes += codes
-        for (column, dtype), chunk in zip(recorded, chunks):
-            chunk.append(np.array(column, dtype=dtype))
-            column.clear()
+    if strategy is None:
+        masks = schedule.masks(rounds)
+        edges = np.array(masks, dtype=np.int64)
+        pos_col, code_col, final = _run_schedule(table, pos, codes, masks, n)
+    else:
+        edges, pos_col, code_col, final = _run_strategy(table, pos, codes, strategy, rounds, n)
 
     meta = {
         "n": n,
@@ -488,17 +468,127 @@ def run_states(
     }
     if meta_extra:
         meta.update(meta_extra)
-    edges, pos_col, code_col = (np.concatenate(chunk) for chunk in chunks)
-    pos_col = pos_col.reshape(-1, k)
-    final_pos = np.array(pos, dtype=np.int16)
+    final_pos = np.array(final, dtype=np.int16)
     # On a ring of n >= 3 nodes a robot moved exactly when its node changed.
     moved = np.empty(pos_col.shape, dtype=bool)
     np.not_equal(pos_col[1:], pos_col[:-1], out=moved[:-1])
     np.not_equal(final_pos, pos_col[-1], out=moved[-1])
     return Trace(
         meta=meta, edges=edges, pos=pos_col, moved=moved, final_pos=final_pos,
-        **table.columns(code_col.reshape(-1, k)),
+        **table.columns(code_col),
     )
+
+
+def _cohort_step(
+    table: _LocalTable, pos: Sequence[int], codes: Sequence[int], mask: int, n: int
+) -> tuple[list[int], list[int]]:
+    """The robots' positions and codes after one round under `mask`."""
+    ports = _ports(mask, n)
+    new_pos, new_codes = [], []
+    for p, code in zip(pos, codes):
+        code, step = table.after(code, pos.count(p), ports >> p & 3)
+        new_pos.append((p + step) % n)
+        new_codes.append(code)
+    return new_pos, new_codes
+
+
+def _run_schedule(
+    table: _LocalTable, pos: list[int], codes: list[int], masks: Sequence[int], n: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The (rounds, k) `pos` and code rows of a run under `masks`, and the
+    final positions.  Each robot steps through `table` every round."""
+    k = len(pos)
+    memo, fill, n1 = table.next, table.fill, n - 1
+    # ring[p + step] is the node that `step` leads to from node p.
+    ring = [*range(n), 0, n1]
+    rec_pos: list[int] = []
+    rec_codes: list[int] = []
+    pos_chunks: list[np.ndarray] = []
+    code_chunks: list[np.ndarray] = []
+    # The record lists are emptied into numpy every `_CHUNK_ROUNDS` rounds,
+    # so a long run never holds a whole trace as Python lists.
+    for start in range(0, len(masks), _CHUNK_ROUNDS):
+        for mask in masks[start : start + _CHUNK_ROUNDS]:
+            rec_pos += pos
+            ports = mask << 1 | mask >> n1 & 1  # _ports(mask, n), inlined
+            new_pos, new_codes = [], []
+            for p, code in zip(pos, codes):
+                # _LocalTable.after, inlined.
+                key = code | pos.count(p) << 2 | ports >> p & 3
+                try:
+                    code, step = memo[key]
+                except KeyError:
+                    code, step = fill(key)
+                new_pos.append(ring[p + step])
+                new_codes.append(code)
+            pos, codes = new_pos, new_codes
+            rec_codes += codes
+        pos_chunks.append(np.array(rec_pos, dtype=np.int16))
+        code_chunks.append(np.array(rec_codes, dtype=np.int64))
+        rec_pos.clear()
+        rec_codes.clear()
+    pos_rows, code_rows = (np.concatenate(c).reshape(-1, k) for c in (pos_chunks, code_chunks))
+    return pos_rows, code_rows, pos
+
+
+def _run_strategy(
+    table: _LocalTable, pos: list[int], codes: list[int], strategy, rounds: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The masks `strategy` chooses, the (rounds, k) `pos` and code rows of
+    the run, and the final positions.
+
+    Each configuration `(*pos, *codes)` is interned to an id, with one
+    `pos` list and one `codes` tuple kept per id for the strategy's view.
+    The robots of a configuration read only the edges in `reach[id]`, so
+    `after` maps `id << n | mask & reach[id]` to the next id, and a miss
+    steps the robots through `_cohort_step`.  Each round records one id
+    and one mask; the rows are gathered from the ids at the end.
+    """
+    ids: dict[tuple, int] = {}
+    conf_pos: list[list[int]] = []
+    conf_codes: list[tuple[int, ...]] = []
+    reach: list[int] = []
+    after: dict[int, int] = {}
+
+    def intern(pos: list[int], codes: Sequence[int]) -> int:
+        key = (*pos, *codes)
+        cid = ids.get(key)
+        if cid is None:
+            cid = ids[key] = len(conf_pos)
+            conf_pos.append(pos)
+            conf_codes.append(tuple(codes))
+            # Node p reads its clockwise edge p and counter-clockwise edge p - 1.
+            reach.append(_mask_of(e for p in pos for e in (p, (p - 1) % n)))
+        return cid
+
+    view = _LiveView(n, table)
+    choose = strategy.choose_mask
+    cid = intern(pos, codes)
+    rec_ids: list[int] = []
+    rec_edges: list[int] = []
+    id_chunks: list[np.ndarray] = []
+    edge_chunks: list[np.ndarray] = []
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
+            view.pos, view.codes = conf_pos[cid], conf_codes[cid]
+            mask = choose(t, view)
+            rec_ids.append(cid)
+            rec_edges.append(mask)
+            seen = mask & reach[cid]
+            key = cid << n | seen
+            try:
+                cid = after[key]
+            except KeyError:
+                stepped = _cohort_step(table, conf_pos[cid], conf_codes[cid], seen, n)
+                cid = after[key] = intern(*stepped)
+        id_chunks.append(np.array(rec_ids, dtype=np.intp))
+        edge_chunks.append(np.array(rec_edges, dtype=np.int64))
+        rec_ids.clear()
+        rec_edges.clear()
+    id_col = np.concatenate([*id_chunks, [cid]])
+    pos_rows = np.array(conf_pos, dtype=np.int16).take(id_col[:-1], axis=0)
+    code_rows = np.array(conf_codes, dtype=np.int64).take(id_col[1:], axis=0)
+    return np.concatenate(edge_chunks), pos_rows, code_rows, conf_pos[cid]
 
 
 def _joined(chunks: Sequence[list[np.ndarray]], k: int) -> dict[str, np.ndarray]:

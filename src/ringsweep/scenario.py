@@ -126,6 +126,8 @@ class Scenario:
         unknown = set(self.mutations) - KNOWN_MUTATIONS
         if unknown:
             problems["mutations"] = f"unknown flags {sorted(unknown)}"
+        if self.stall_cap < 0:
+            problems["stall_cap"] = f"must be >= 0, got {self.stall_cap}"
         if self.adversary is not None:
             if self.adversary != "confinement" and not self.adversary.startswith("witness:"):
                 problems["adversary"] = (

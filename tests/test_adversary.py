@@ -205,6 +205,11 @@ class TestConfinementCases:
         with pytest.raises(ValueError, match=">= 4"):
             adv.ConfinementAdversary(3)
 
+    def test_rejects_negative_stall_cap(self):
+        adv.ConfinementAdversary(4, stall_cap=0)
+        with pytest.raises(ValueError, match="stall_cap must be >= 0"):
+            adv.ConfinementAdversary(4, stall_cap=-1)
+
 
 class TestGameSearch:
     def test_two_robots_confinable_with_legal_witness(self):
@@ -248,6 +253,8 @@ class TestGameSearch:
         result = adv.game_search(4, facing_pair(), "pef3", state_budget=1)
         assert result.verdict == adv.VERDICT_INCONCLUSIVE
         assert result.explored == 1
+        with pytest.raises(ValueError, match="state_budget must be >= 1"):
+            adv.game_search(4, facing_pair(), "pef3", state_budget=0)
 
     def test_desk_scale_bounds(self):
         with pytest.raises(ValueError, match="desk-scale"):

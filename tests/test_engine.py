@@ -159,15 +159,23 @@ def test_fast_loop_matches_reference_step():
 
 class ReferenceCheckingStrategy:
     """Draws random masks, replaying them through `engine.step`, and checks
-    each round that the RunView shows the reference configuration."""
+    each round that the RunView shows the reference configuration.
 
-    def __init__(self, n, algo, states, mutations, seed):
+    With `revisit` the mask is a fixed random function of `view.pos` and
+    `view.variables`, drawn the first time each value is seen, so the run
+    comes back to its configurations with the same mask; otherwise every
+    round draws a fresh mask.
+    """
+
+    def __init__(self, n, algo, states, mutations, seed, revisit=False):
         self.n, self.algo, self.mutations = n, algo, mutations
         self.cfg = Configuration(0, tuple(states))
         self.rng = random.Random(seed)
         self.masks = []
         # (view.variables, decoded variables) of every round.
         self.variables = set()
+        # (pos, variables) -> mask, when `revisit`.
+        self.policy = {} if revisit else None
 
     def choose_mask(self, t, view):
         if t:
@@ -183,8 +191,15 @@ class ReferenceCheckingStrategy:
         assert view.idx == [s.i for s in robots], t
         assert view.nrpea == [s.nrpea for s in robots], t
         assert [bool(h) for h in view.hmpea] == [s.hmpea for s in robots], t
-        self.masks.append(self.rng.getrandbits(self.n))
-        return self.masks[-1]
+        if self.policy is None:
+            mask = self.rng.getrandbits(self.n)
+        else:
+            key = (tuple(view.pos), view.variables)
+            mask = self.policy.get(key)
+            if mask is None:
+                mask = self.policy[key] = self.rng.getrandbits(self.n)
+        self.masks.append(mask)
+        return mask
 
 
 def test_reactive_view_shows_reference_state():
@@ -204,6 +219,34 @@ def test_reactive_view_shows_reference_state():
         want, _ = reference_columns(n, algo, states, strategy.masks, mutations)
         for name, rows in want.items():
             assert np.array_equal(getattr(trace, name), rows), (case, name)
+
+
+@pytest.mark.parametrize("revisit", [True, False], ids=["state_policy", "fresh_masks"])
+def test_reactive_memo_matches_reference_step(revisit):
+    # A reactive run steps its cohort through one configuration memo.  A
+    # state policy closes a lasso and then replays it from the memo; fresh
+    # masks bring configurations back under other masks, so a memo key
+    # that drops edges a robot reads returns the wrong successor.  Every
+    # k, algorithm and mutation case; the unmutated k = 1 runs outlast a
+    # record chunk.
+    rng = random.Random(31)
+    for k in range(1, 6):
+        for algo in ("pef3", "pef2"):
+            for mutations in MUTATION_CASES:
+                n = rng.randint(3, 7)
+                states = fuzz_initial(n, list(range(k)), rng)
+                rounds = 4200 if k == 1 and not mutations else 300
+                strategy = ReferenceCheckingStrategy(
+                    n, algo, states, mutations, rng.random(), revisit
+                )
+                trace = run_states(n, algo, states, rounds, strategy=strategy, mutations=mutations)
+                assert trace.edges.tolist() == strategy.masks
+                want, final = reference_columns(n, algo, states, strategy.masks, mutations)
+                for name, rows in want.items():
+                    assert np.array_equal(getattr(trace, name), rows), (k, algo, mutations, name)
+                assert tuple(trace.final_pos) == final
+                if revisit:
+                    assert len(strategy.policy) < rounds  # the run came back
 
 
 def test_fuzz_reproducible():

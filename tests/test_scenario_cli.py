@@ -48,6 +48,29 @@ class Put:
         return f"{self.value}-spaced" if self.spaced else str(self.value)
 
 
+# Command lines that must exit 2, each with what stderr must say.  The
+# argument "witness:{witness}" names a witness file the test writes first.
+BAD_COMMAND_LINES = {
+    ("simulate", "--n", "64", "--robots", "0,1", "--rounds", "5"): "ring size must be in 3..63",
+    ("simulate", "--n", "5", "--robots", "0,1,2", "--adversary", "confinement",
+     "--rounds", "30", "--stall-cap", "-1"): "stall_cap must be >= 0, got -1",
+    ("simulate", "--adversary", "witness:{witness}", "--mutations", "skip_update",
+     "--rounds", "5"): "a witness replays the unmutated rules",
+    ("words", "--table", "-1"): "--table MAX_ID must be >= 0, got -1",
+    ("search", "--n", "4", "--robots", "0,1", "--state-budget", "0"):
+        "state_budget must be >= 1, got 0",
+}
+
+
+def facing_pair_search(witness_out) -> list[str]:
+    """The search command that writes the facing pair's two-record witness
+    (n = 4, pef3) to `witness_out`."""
+    return ["search", "--n", "4", "--robots", "0,1",
+            "--robot", "id=0 pos=0 dir=R chirality=cw i=1 nrpea=1 hmpea=true",
+            "--robot", "id=1 pos=1 dir=L chirality=cw i=1 nrpea=1 hmpea=true",
+            "--witness-out", str(witness_out)]
+
+
 def readme_scenario() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"```\n(n = 5\n.*?)```", readme, re.S)
@@ -101,10 +124,10 @@ class TestScenarioParsing:
         assert "wibble" in exc.value.fields
 
     def test_validation_names_offending_fields(self):
-        sc = Scenario(n=2, algo="pefX", rounds=0)
+        sc = Scenario(n=2, algo="pefX", rounds=0, stall_cap=-1)
         with pytest.raises(ScenarioError) as exc:
             sc.validate()
-        assert {"n", "algo", "rounds", "robots"} <= set(exc.value.fields)
+        assert {"n", "algo", "rounds", "robots", "stall_cap"} <= set(exc.value.fields)
 
     def test_missing_edge_required_for_eventual_missing(self):
         sc = Scenario(n=4, schedule="eventual_missing", robots=[RobotSpec(id=0)])
@@ -306,25 +329,25 @@ class TestCli:
             ("witness", (0, "n", Put("4"))),
             ("witness", (0, "robots", Put(5))),
             ("witness", (1, Put([1]))),
-            ("simulate", ("--n", "64", "--robots", "0,1", "--rounds", "5")),
+            *((argv[0], argv[1:]) for argv in BAD_COMMAND_LINES),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
     )
     def test_malformed_inputs_exit_2(self, kind, path, tmp_path, capsys):
-        if kind == "simulate":  # a command line: edge masks are int64
-            assert cli.main([kind, *path]) == 2
-            assert "ring size must be in 3..63" in capsys.readouterr().err
-            return
         target = tmp_path / f"{kind}.jsonl"
+        if kind not in ("trace", "witness"):  # a command line
+            if "witness:{witness}" in path:
+                assert cli.main(facing_pair_search(target)) == 0
+            capsys.readouterr()
+            assert cli.main([kind, *(arg.format(witness=target) for arg in path)]) == 2
+            assert BAD_COMMAND_LINES[(kind, *path)] in capsys.readouterr().err
+            return
         if kind == "trace":
             argv = ["simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--out", str(target)]
             if "schedule" in path:
                 argv += ["--schedule", "eventual_missing", "--missing-edge", "1"]
         else:
-            argv = ["search", "--n", "4", "--robots", "0,1",
-                    "--robot", "id=0 pos=0 dir=R chirality=cw i=1 nrpea=1 hmpea=true",
-                    "--robot", "id=1 pos=1 dir=L chirality=cw i=1 nrpea=1 hmpea=true",
-                    "--witness-out", str(target)]
+            argv = facing_pair_search(target)
         assert cli.main(argv) in (0, 1)
         records = [json.loads(line) for line in target.read_text().splitlines()]
         put = path[-1] if isinstance(path[-1], Put) else None
@@ -350,11 +373,7 @@ class TestCli:
 
     def test_witness_missing_a_policy_record_exits_2(self, tmp_path, capsys):
         target = tmp_path / "witness.jsonl"
-        argv = ["search", "--n", "4", "--robots", "0,1",
-                "--robot", "id=0 pos=0 dir=R chirality=cw i=1 nrpea=1 hmpea=true",
-                "--robot", "id=1 pos=1 dir=L chirality=cw i=1 nrpea=1 hmpea=true",
-                "--witness-out", str(target)]
-        assert cli.main(argv) == 0
+        assert cli.main(facing_pair_search(target)) == 0
         header, *records = target.read_text().splitlines(keepends=True)
         assert len(records) == 2
         for dropped in range(len(records)):
@@ -362,6 +381,18 @@ class TestCli:
             capsys.readouterr()
             assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
             assert "not covered by witness policy" in capsys.readouterr().err
+
+    def test_witness_replay_rejects_mutations_from_a_scenario_file(self, tmp_path, capsys):
+        target = tmp_path / "witness.jsonl"
+        assert cli.main(facing_pair_search(target)) == 0
+        scen = tmp_path / "scenario.txt"
+        replay = f"adversary = witness:{target}\nrounds = 5\n"
+        scen.write_text(replay)
+        capsys.readouterr()
+        assert cli.main(["simulate", "--scenario", str(scen)]) == 1  # the pair starves node 2
+        scen.write_text(replay + "mutations = skip_update\n")
+        assert cli.main(["simulate", "--scenario", str(scen)]) == 2
+        assert "mutations: a witness replays the unmutated rules" in capsys.readouterr().err
 
     def test_scenario_file_with_flag_override(self, tmp_path, capsys):
         scen = tmp_path / "scenario.txt"
