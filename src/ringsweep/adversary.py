@@ -49,6 +49,11 @@ class ConfinementAdversary:
     boundary edges stay absent for more than `stall_cap` rounds is
     confined only by a ring split in two, outside the connected-over-time
     class ("out_of_class"); the removals go on unchanged.
+
+    `status` is the run's outcome.  `state` is what decides the adversary's
+    later choices together with the configuration, so `run_states` stops
+    stepping once a run repeats one; the stall and absence counters then
+    stop at the round that closes the lasso.
     """
 
     def __init__(self, n: int, window_start: int = 1, stall_cap: int = 100):
@@ -62,9 +67,9 @@ class ConfinementAdversary:
         self.x = (window_start + 2) % n
         self.stall_cap = stall_cap
         self.status = CONFINEMENT_ACTIVE
-        self.waiting = 0
+        self._waiting = 0
         # Rounds in a row, up to the last one, with both boundary edges absent.
-        self.absent_together = 0
+        self._absent_together = 0
         self._last_positions: tuple[int, ...] | None = None
         # Boundary and interior edges of the window, by the proof's names.
         self.e_vl = (self.v - 1) % n
@@ -94,6 +99,13 @@ class ConfinementAdversary:
             raise AssertionError(f"occupied set {set(occupied)} outside window")
         return _mask_of(edges)
 
+    @property
+    def state(self):
+        # Once the outcome is settled the choices depend on positions only.
+        if self.status != CONFINEMENT_ACTIVE:
+            return self.status
+        return (self.status, self._waiting, self._absent_together, self._last_positions)
+
     def choose_mask(self, t: int, view: RunView) -> int:
         full = view.full_mask
         pos = tuple(view.pos)
@@ -101,9 +113,9 @@ class ConfinementAdversary:
             self._last_positions = pos
         elif pos != self._last_positions:
             self._last_positions = pos
-            self.waiting = 0
+            self._waiting = 0
         else:
-            self.waiting += 1
+            self._waiting += 1
         if self.status == CONFINEMENT_ESCAPED:
             return full
         removal = self._removals.get(_mask_of(pos))
@@ -111,11 +123,11 @@ class ConfinementAdversary:
             self.status = CONFINEMENT_ESCAPED
             return full
         if self.status == CONFINEMENT_ACTIVE:
-            if self.waiting > self.stall_cap:
+            if self._waiting > self.stall_cap:
                 self.status = CONFINEMENT_SELF_STARVED
-            elif self.absent_together > self.stall_cap:
+            elif self._absent_together > self.stall_cap:
                 self.status = CONFINEMENT_OUT_OF_CLASS
-        self.absent_together = self.absent_together + 1 if removal == self._both else 0
+        self._absent_together = self._absent_together + 1 if removal == self._both else 0
         return full & ~removal
 
 
@@ -353,27 +365,23 @@ class WitnessStrategy:
     """Replays a witness policy; raises if the play ever leaves it.
 
     The policy's choice is a function of the run's raw state: the visited
-    mask, the positions and the robots' variables.  So each distinct raw
-    state is decided once, through its canonical key, and its
-    present-edge mask is memoized; a state the policy does not cover
-    raises the first time it is reached.  One strategy serves one run,
-    since the visited mask and the variable codes of a `_LiveView` belong
-    to that run.
+    mask (`state`), the positions and the robots' variables.  `run_states`
+    stops asking once the run repeats a raw state, so each one is decided
+    once, through its canonical key; a state the policy does not cover
+    raises the first time it is reached.  One strategy serves one run.
     """
 
     def __init__(self, witness: Witness):
         self.witness = witness
         self._ells = [transformed_length(r.id) for r in witness.robots]
         self._visited = 0
-        # (visited before the round, *pos, *variables) -> (visited, mask).
-        self._memo: dict[tuple, tuple[int, int]] = {}
+
+    @property
+    def state(self) -> int:
+        return self._visited
 
     def choose_mask(self, t: int, view: RunView) -> int:
-        raw = (self._visited, *view.pos, *view.variables)
-        hit = self._memo.get(raw)
-        if hit is None:
-            hit = self._memo[raw] = self._decide(t, view)
-        self._visited, mask = hit
+        self._visited, mask = self._decide(t, view)
         return mask
 
     def _decide(self, t: int, view: RunView) -> tuple[int, int]:

@@ -19,7 +19,9 @@ steps through the same table.  Property tests hold the two bit-identical.
 steps through it every round.  Under a reactive strategy the whole cohort
 steps through one configuration memo on top of it, because reactive
 adversaries hold the cohort in a handful of configurations, while a random
-schedule keeps bringing new ones and the memo would only add lookups.
+schedule keeps bringing new ones and the memo would only add lookups.  A
+strategy that exposes its `state` is stepped only until the run closes
+its lasso; the rest of the run is tiled from the loop.
 
 Traces are stored columnar (one numpy array per field) with the canonical
 per-round robot state being the post-Compute one; the line-delimited file
@@ -424,6 +426,14 @@ def run_states(
       small part of the game (a witness is a lasso, the window adversary
       holds it in three nodes), so such a run visits a handful of
       configurations and computes each successor once.
+
+    A strategy may also offer a read-only `state`: a hashable value such
+    that `(strategy.state, configuration)` before a round decides every
+    later `choose_mask` result and the strategy's visible outcome.  Such a
+    run is eventually periodic, so it stops at the first round whose pair
+    was met before and fills the remaining rounds from that loop; the
+    strategy is not asked again, and its own bookkeeping stays as it was
+    at that round.  A strategy without `state` is asked every round.
     """
     if (schedule is None) == (strategy is None):
         raise ValueError("provide exactly one of schedule or strategy")
@@ -543,6 +553,10 @@ def _run_strategy(
     `after` maps `id << n | mask & reach[id]` to the next id, and a miss
     steps the robots through `_cohort_step`.  Each round records one id
     and one mask; the rows are gathered from the ids at the end.
+
+    For a strategy with a `state` (see `run_states`) the loop stops at the
+    first round t whose `(strategy.state, id)` key was met before, at
+    round t1, and the recorded rounds [t1, t) are tiled up to `rounds`.
     """
     ids: dict[tuple, int] = {}
     conf_pos: list[list[int]] = []
@@ -563,6 +577,10 @@ def _run_strategy(
 
     view = _LiveView(n, table)
     choose = strategy.choose_mask
+    # The first round of each (state, id) key, for a strategy with a state.
+    first: dict[tuple, int] | None = {} if hasattr(strategy, "state") else None
+    # The round the lasso's loop starts at; `rounds` while no loop is found.
+    t1 = rounds
     cid = intern(pos, codes)
     rec_ids: list[int] = []
     rec_edges: list[int] = []
@@ -570,6 +588,10 @@ def _run_strategy(
     edge_chunks: list[np.ndarray] = []
     for start in range(0, rounds, _CHUNK_ROUNDS):
         for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
+            if first is not None:
+                t1 = first.setdefault((strategy.state, cid), t)
+                if t1 < t:
+                    break
             view.pos, view.codes = conf_pos[cid], conf_codes[cid]
             mask = choose(t, view)
             rec_ids.append(cid)
@@ -585,10 +607,18 @@ def _run_strategy(
         edge_chunks.append(np.array(rec_edges, dtype=np.int64))
         rec_ids.clear()
         rec_edges.clear()
+        if t1 < t:
+            break
     id_col = np.concatenate([*id_chunks, [cid]])
+    edges = np.concatenate(edge_chunks)
+    if len(edges) < rounds:
+        # The lasso closed at round t: rounds t1..t-1 repeat from there on.
+        rows = np.arange(rounds + 1)
+        rows[t:] = t1 + (rows[t:] - t1) % (t - t1)
+        id_col, edges = id_col.take(rows), edges.take(rows[:-1])
     pos_rows = np.array(conf_pos, dtype=np.int16).take(id_col[:-1], axis=0)
     code_rows = np.array(conf_codes, dtype=np.int64).take(id_col[1:], axis=0)
-    return np.concatenate(edge_chunks), pos_rows, code_rows, conf_pos[cid]
+    return edges, pos_rows, code_rows, conf_pos[id_col[-1]]
 
 
 def _joined(chunks: Sequence[list[np.ndarray]], k: int) -> dict[str, np.ndarray]:

@@ -347,6 +347,34 @@ class TestGameSearch:
         strategy = adv.WitnessStrategy(witness)
         assert [strategy.choose_mask(t, v) for t, v in enumerate(views)] == expected
 
+    def test_replay_asks_again_when_a_configuration_returns_with_more_visited(self):
+        # The solo pef2 witness meets its start configuration again at
+        # round 2 with node 2 visited since: another policy state, so the
+        # replay must not close its loop there.
+        robot = [RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True)]
+        witness = adv.game_search(3, robot, "pef2").witness
+        assert set(witness.policy) == {"0|1|1|1|1|1", "0|0|1|1|1|3", "0|1|1|1|1|5"}
+        del witness.policy["0|1|1|1|1|5"]
+        with pytest.raises(adv.WitnessReplayError, match="^round 2:"):
+            adv.replay_witness(witness, 100)
+
+    def test_long_replay_asks_the_policy_only_until_its_loop_closes(self, monkeypatch):
+        # The replay stops asking once a (visited, configuration) pair
+        # comes back; the canonical cycle can take up to n turns to bring
+        # back the same raw state.
+        witness = adv.game_search(4, facing_pair(), "pef3").witness
+        calls = []
+        choose = adv.WitnessStrategy.choose_mask
+
+        def counted(strategy, t, view):
+            calls.append(t)
+            return choose(strategy, t, view)
+
+        monkeypatch.setattr(adv.WitnessStrategy, "choose_mask", counted)
+        trace = adv.replay_witness(witness, 100_000)
+        assert trace.rounds == 100_000
+        assert len(calls) <= witness.path_length + witness.n * witness.cycle_length + 1
+
     def test_witness_replay_rejects_foreign_state(self):
         result = adv.game_search(4, facing_pair(), "pef3")
         strategy = adv.WitnessStrategy(result.witness)

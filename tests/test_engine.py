@@ -1,4 +1,5 @@
 """Round semantics, trace recording, determinism, fuzzer, file format."""
+import functools
 import io
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringsweep.adversary import ConfinementAdversary, WitnessStrategy, game_search
 from ringsweep.directions import Chirality, Direction, GlobalDirection
 from ringsweep.engine import (
     Configuration,
@@ -247,6 +249,124 @@ def test_reactive_memo_matches_reference_step(revisit):
                 assert tuple(trace.final_pos) == final
                 if revisit:
                     assert len(strategy.policy) < rounds  # the run came back
+
+
+class AskedEveryRound:
+    """Forwards only `choose_mask`, so `run_states` (which sees no `state`)
+    asks the wrapped strategy every round.  `loop` is the first repeat
+    (t1, t) of the strategy's state and the configuration before a round."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.first = {}
+        self.loop = None
+
+    def choose_mask(self, t, view):
+        key = (self.strategy.state, tuple(view.pos), view.variables)
+        t1 = self.first.setdefault(key, t)
+        if t1 < t and self.loop is None:
+            self.loop = (t1, t)
+        return self.strategy.choose_mask(t, view)
+
+
+def fuzzed_reactive_runs(seed, count):
+    """`count` fuzzed (label, n, states, new strategy) runs, alternating
+    witness replays (n 4..6) and window adversaries (n 4..8, stall cap 0
+    or 100), with 1..3 robots."""
+    rng = random.Random(seed)
+    runs = []
+    while len(runs) < count:
+        n, k = rng.randint(4, 8), rng.randint(1, 3)
+        if len(runs) % 2 == 0:
+            # Most robots start in the window, so the adversary has work to do.
+            cap, start = rng.choice((0, 100)), rng.randrange(n)
+            inside = {r: {"pos": (start + rng.randrange(3)) % n} for r in range(k)
+                      if rng.random() < 0.8}
+            states = fuzz_initial(n, list(range(k)), rng, inside)
+            make = functools.partial(ConfinementAdversary, n, start, cap)
+            runs.append((f"window n={n} k={k} cap={cap}", n, states, make))
+            continue
+        states = fuzz_initial(n, list(range(k)), rng)
+        if n <= 6:
+            result = game_search(n, states, "pef3", max_absent=rng.randint(1, 2))
+            if result.witness is not None:
+                make = functools.partial(WitnessStrategy, result.witness)
+                runs.append((f"witness n={n} k={k}", n, states, make))
+    return runs
+
+
+def test_lasso_fast_forward_matches_asking_every_round():
+    # A strategy with a `state` is asked until the run repeats a (state,
+    # configuration) pair, and the rest is tiled from the loop.  Horizons:
+    # one round, the round the loop closes, three turns of the loop, and
+    # more than two record chunks.
+    for label, n, states, make in fuzzed_reactive_runs(4247, 24):
+        slow = AskedEveryRound(make())
+        long_run = run_states(n, "pef3", states, 9000, strategy=slow)
+        assert slow.loop is not None, label
+        t1, t = slow.loop
+        for rounds in (1, t, t1 + 3 * (t - t1), 9000):
+            fast = make()
+            trace = run_states(n, "pef3", states, rounds, strategy=fast)
+            if rounds == 9000:
+                want, asked = long_run, slow.strategy
+            else:
+                asked = make()
+                want = run_states(n, "pef3", states, rounds, strategy=AskedEveryRound(asked))
+            for name in TRACE_COLUMNS:
+                assert np.array_equal(getattr(trace, name), getattr(want, name)), (label, rounds, name)
+            assert getattr(fast, "status", None) == getattr(asked, "status", None), (label, rounds)
+
+
+def policy_mask(salt, n, pos, dir_right, idx, nrpea, hmpea):
+    """A fixed pseudo-random mask for each (positions, variables) value."""
+    key = (salt, tuple(pos), tuple(dir_right), tuple(idx), tuple(nrpea), tuple(map(bool, hmpea)))
+    return random.Random(repr(key)).getrandbits(n)
+
+
+class MemorylessPolicy:
+    """A strategy without memory: `state` is None and the mask is a
+    function of the positions and variables the view shows."""
+
+    state = None
+
+    def __init__(self, salt):
+        self.salt = salt
+        self.calls = 0
+
+    def choose_mask(self, t, view):
+        self.calls += 1
+        return policy_mask(
+            self.salt, view.n, view.pos, view.dir_right, view.idx, view.nrpea, view.hmpea
+        )
+
+
+def test_memoryless_policy_matches_reference_step():
+    # The run is decided by its configuration alone, so it is asked until
+    # a configuration comes back; the reference steps every round.
+    rng = random.Random(57)
+    for case in range(3 * len(MUTATION_CASES)):
+        mutations = MUTATION_CASES[case % len(MUTATION_CASES)]
+        n, k = rng.randint(3, 7), 1 + case % 3
+        algo = ("pef3", "pef2")[case // len(MUTATION_CASES) % 2]
+        states = fuzz_initial(n, list(range(k)), rng)
+        rounds = 3000
+        strategy = MemorylessPolicy(case)
+        trace = run_states(n, algo, states, rounds, strategy=strategy, mutations=mutations)
+        assert strategy.calls < rounds
+        cfg, masks = Configuration(0, tuple(states)), []
+        for _ in range(rounds):
+            robots = cfg.robots
+            masks.append(policy_mask(
+                case, n, cfg.positions(), [s.direction is R for s in robots],
+                [s.i for s in robots], [s.nrpea for s in robots], [s.hmpea for s in robots],
+            ))
+            cfg = step(cfg, masks[-1], algo, n, mutations)
+        assert trace.edges.tolist() == masks
+        want, final = reference_columns(n, algo, states, masks, mutations)
+        for name, rows in want.items():
+            assert np.array_equal(getattr(trace, name), rows), (case, name)
+        assert tuple(trace.final_pos) == final
 
 
 def test_fuzz_reproducible():
