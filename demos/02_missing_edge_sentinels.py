@@ -32,8 +32,6 @@ print(f"shuttle periods between meetings: {report.periods[:10]} ...")
 
 coverage = analysis.coverage(trace, suffix_start=1000)
 print(f"\ncoverage over the suffix: {coverage.verdict()}")
-print(f"lemma monitors: {len(analysis.monitor_lemmas(trace))} violations")
-
 towers = analysis.detect_towers(trace)
-print(f"towers formed along the way: {len(towers)} "
-      f"({sum(1 for t in towers if t.long_lived)} long-lived)")
+print(f"lemma monitors: {len(analysis.monitor_lemmas(trace, towers))} violations")
+print(f"towers formed along the way: {towers.census()}")

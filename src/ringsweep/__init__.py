@@ -25,6 +25,7 @@ from .engine import (
 from .analysis import (
     CoverageReport,
     Tower,
+    TowerTable,
     coherence_round,
     coverage,
     detect_towers,
@@ -49,6 +50,7 @@ __all__ = [
     "RobotState",
     "Scenario",
     "Tower",
+    "TowerTable",
     "Trace",
     "classify_prefix",
     "coherence_round",

@@ -19,14 +19,25 @@ the self-stabilizing algorithm is explicitly allowed to display before
 converging.  Towers formed at t >= 1 necessarily had every member
 edge-activated at t-1, so for them the monitored range is the full
 interval.
+
+Tower table.  `detect_towers` returns a `TowerTable`: numpy columns with
+one row per maximal tower (member bitmask, size, anchor column, interval,
+first activation, open-endedness, long-lived code).  `Tower` objects are
+built only when a row is indexed or iterated.  The five tower monitors
+are array passes over the table: per member set, one disagreement or
+all-stuck array is summed over that set's tower intervals with prefix
+sums (a set's maximal runs never overlap), and only towers with a
+non-zero count are expanded into rounds.  Formation is a sorted search
+over the 2-long-lived starts and the running maximum of their ends;
+ring-visited ORs a per-time bitmask of occupied nodes over each
+qualifying interval.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -71,6 +82,97 @@ class Tower:
         return "long_lived" if self.long_lived else "short_lived"
 
 
+_KINDS = {1: True, 0: False, -1: None}  # `long_lived` column codes
+
+
+class TowerTable:
+    """The maximal towers of one trace as columns, one row per tower.
+
+    Rows are sorted by `(t_start, t_end, member_ids)`.  The columns are
+    `mask` (member bitmask over robot columns), `size`, `s0` (the lowest
+    member column; it stands on the tower's node), `t_start`, `t_end`,
+    `first` (first edge-activated round inside the interval, -1 for none),
+    `open_ended` and `long_lived` (1 long-lived, 0 short-lived, -1
+    undetermined).  `len`, indexing and iteration build `Tower` objects
+    on demand; the monitors read the columns.
+    """
+
+    def __init__(self, v: _TraceView, mask, t_start, t_end, first, long_lived):
+        self.k, self.h = v.k, v.h
+        self._ids, self._cpos = v.robot_ids, v.cpos
+        sets, inv = np.unique(np.asarray(mask, dtype=np.int64), return_inverse=True)
+        cols = [self.cols_of(m) for m in sets.tolist()]
+        by_ids = sorted(range(len(cols)), key=lambda j: [self._ids[c] for c in cols[j]])
+        rank = np.empty(len(cols), dtype=np.int64)
+        rank[by_ids] = np.arange(len(cols))
+        t_start, t_end = np.asarray(t_start, dtype=np.int64), np.asarray(t_end, dtype=np.int64)
+        order = np.lexsort((rank[inv], t_end, t_start))
+        self.mask = sets[inv][order]
+        self.size = np.array([len(c) for c in cols], dtype=np.int64)[inv][order]
+        self.s0 = np.array([c[0] for c in cols], dtype=np.int64)[inv][order]
+        self.t_start, self.t_end = t_start[order], t_end[order]
+        self.first = np.asarray(first, dtype=np.int64)[order]
+        self.open_ended = self.t_end == self.h
+        self.long_lived = np.asarray(long_lived, dtype=np.int8)[order]
+
+    @classmethod
+    def from_rows(cls, v: _TraceView, rows: Iterable[tuple]) -> TowerTable:
+        """A table of `(member_cols, t_start, t_end, long_lived, first_activation)`
+        rows, with `long_lived` True, False or None and a missing first
+        activation None."""
+        rows = list(rows)
+        code = {kind: c for c, kind in _KINDS.items()}
+        return cls(
+            v,
+            [sum(1 << c for c in r[0]) for r in rows],
+            [r[1] for r in rows],
+            [r[2] for r in rows],
+            [-1 if r[4] is None else r[4] for r in rows],
+            [code[r[3]] for r in rows],
+        )
+
+    def cols_of(self, mask: int) -> tuple[int, ...]:
+        return tuple(c for c in range(self.k) if mask >> c & 1)
+
+    def member_ids(self, row: int) -> tuple[int, ...]:
+        return tuple(self._ids[c] for c in self.cols_of(int(self.mask[row])))
+
+    def groups(self, selected: np.ndarray):
+        """(member columns, row indices) of the selected rows, one pair per member set."""
+        for m in np.unique(self.mask[selected]).tolist():
+            yield self.cols_of(m), np.flatnonzero(selected & (self.mask == m))
+
+    def census(self) -> str:
+        """Tower count by kind and by size, e.g. `9 (2 long-lived, 7 short-lived,
+        0 undetermined; by size {2: 8, 3: 1})`."""
+        undetermined, short, long = np.bincount(self.long_lived + 1, minlength=3).tolist()
+        sizes, counts = np.unique(self.size, return_counts=True)
+        return (
+            f"{len(self)} ({long} long-lived, {short} short-lived, {undetermined} undetermined; "
+            f"by size {dict(zip(sizes.tolist(), counts.tolist()))})"
+        )
+
+    def __len__(self) -> int:
+        return int(self.mask.shape[0])
+
+    def __getitem__(self, row: int) -> Tower:
+        row = range(len(self))[row]
+        a, b, first = int(self.t_start[row]), int(self.t_end[row]), int(self.first[row])
+        return Tower(
+            member_ids=self.member_ids(row),
+            member_cols=self.cols_of(int(self.mask[row])),
+            t_start=a,
+            t_end=b,
+            nodes=self._cpos[a : b + 1, self.s0[row]],
+            open_ended=bool(self.open_ended[row]),
+            long_lived=_KINDS[int(self.long_lived[row])],
+            first_activation=None if first < 0 else first,
+        )
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+
 def _true_runs(mask: np.ndarray) -> np.ndarray:
     """(R, 2) inclusive [start, end] of the maximal runs of True in a 1-d bool array."""
     runs = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
@@ -78,7 +180,7 @@ def _true_runs(mask: np.ndarray) -> np.ndarray:
     return runs
 
 
-def detect_towers(trace: Trace) -> list[Tower]:
+def detect_towers(trace: Trace) -> TowerTable:
     """All maximal towers of the trace, classified long/short-lived.
 
     Maximality is two-sided: the interval cannot be extended for the
@@ -87,44 +189,51 @@ def detect_towers(trace: Trace) -> list[Tower]:
     at consecutive times on a ring with n >= 3 (a round moves a robot by
     at most one node), so detection reduces to co-location runs.
     """
-    if trace.rounds == 0:
-        return []
     v = _view_of(trace)
-    towers: list[Tower] = []
-    for size in range(2, v.k + 1):
-        for cols in combinations(range(v.k), size):
-            s0, m = cols[0], sum(1 << c for c in cols)
-            together = v.together[:, s0]
-            runs = _true_runs((together & m) == m)
-            # The AND of s0's co-location masks over a run is the largest
-            # set co-located with s0 through the whole run, so the member
-            # set cannot be extended exactly when that AND is m.  reduceat
-            # ANDs the half-open [a, b) (b may be the last row); row b
-            # joins after.
-            whole = np.bitwise_and.reduceat(together, runs.ravel())[0::2] & together[runs[:, 1]]
-            runs = runs[whole == m]
-            # s0 stands on the tower's node, so its activations are the
-            # tower's; v.h stands for none.  Rounds a..b-1 are inside the
-            # interval, and for a closed tower round b is the breaking round.
-            acts = v.activations[s0]
-            firsts = np.append(acts, v.h)[np.searchsorted(acts, runs[:, 0])]
-            member_ids = tuple(v.robot_ids[c] for c in cols)
-            for (a, b), first in zip(runs.tolist(), firsts.tolist()):
-                active = first < b
-                towers.append(
-                    Tower(
-                        member_ids=member_ids,
-                        member_cols=cols,
-                        t_start=a,
-                        t_end=b,
-                        nodes=v.cpos[a : b + 1, s0],
-                        open_ended=b == v.h,
-                        long_lived=True if active else (None if b == v.h else False),
-                        first_activation=first if active else None,
-                    )
-                )
-    towers.sort(key=lambda t: (t.t_start, t.t_end, t.member_ids))
-    return towers
+    sets = [cols for size in range(2, v.k + 1) for cols in combinations(range(v.k), size)]
+    if not v.h or not sets:
+        return TowerTable(v, *[np.empty(0, dtype=np.int64)] * 5)
+    # One row per member set: s0's co-location masks over configuration
+    # times, and where they include the whole set.
+    s0 = np.array([cols[0] for cols in sets])
+    m = np.array([sum(1 << c for c in cols) for cols in sets], dtype=v.together.dtype)
+    together = np.ascontiguousarray(v.together[:, s0].T)  # (sets, H+1)
+    width = v.h + 1
+    inside = np.zeros((len(sets), width + 2), dtype=bool)
+    inside[:, 1:-1] = (together & m[:, None]) == m[:, None]
+    # Runs of True start and end at the flips of each padded row; the rows
+    # start and end False, so flips pair up within a row.
+    flips = np.flatnonzero(inside[:, 1:] != inside[:, :-1])
+    row, a = np.divmod(flips[0::2], width + 1)
+    b = flips[1::2] - row * (width + 1) - 1
+    # The AND of s0's co-location masks over a run is the largest set
+    # co-located with s0 through the whole run, so the member set cannot
+    # be extended exactly when that AND is m.  reduceat ANDs the half-open
+    # [a, b) of the flattened rows (b may be the last time); time b joins
+    # after.
+    flat = together.ravel()
+    lo, hi = row * width + a, row * width + b
+    whole = np.bitwise_and.reduceat(flat, np.stack([lo, hi], axis=1).ravel())[0::2] & flat[hi]
+    keep = whole == m[row]
+    row, a, b = row[keep], a[keep], b[keep]
+    # s0 stands on the tower's node, so its activations are the tower's;
+    # v.h stands for none.  Rounds a..b-1 are inside the interval, and for
+    # a closed tower round b is the breaking round.
+    first = np.empty_like(a)
+    anchor = s0[row]
+    for c in np.unique(anchor).tolist():
+        acts = v.activations[c]
+        on = anchor == c
+        first[on] = np.append(acts, v.h)[np.searchsorted(acts, a[on])]
+    active = first < b
+    return TowerTable(
+        v,
+        m.astype(np.int64)[row],
+        a,
+        b,
+        np.where(active, first, -1),
+        np.where(active, 1, np.where(b == v.h, -1, 0)),
+    )
 
 
 @dataclass
@@ -161,6 +270,8 @@ def coverage(trace: Trace, suffix_start: int, window: int | None = None) -> Cove
     the verdict is Covered iff every node is visited at all).
     """
     horizon = trace.rounds
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")  # a gap is at least 1
     if not 0 <= suffix_start < horizon:
         raise ValueError(f"suffix_start {suffix_start} outside 0..{horizon - 1}")
     if window is not None and horizon - suffix_start < window:
@@ -300,22 +411,20 @@ class _TraceView:
             out += self.pos == self.pos[:, c : c + 1]
         return out
 
-    @cached_property
-    def _present(self) -> np.ndarray:
-        """(H, n) presence of edge e in round t."""
-        out = np.empty((self.h, self.n), dtype=bool)
-        for e in range(self.n):
-            out[:, e] = self.edges >> e & 1
-        return out
+    def _present(self, edge: np.ndarray) -> np.ndarray:
+        """(H, k) presence of edge `edge[t, r]` in round t."""
+        bits = self.edges[:, None] >> edge
+        bits &= 1
+        return bits.astype(bool)
 
     @cached_property
     def cw(self) -> np.ndarray:
         """(H, k) presence of each robot's clockwise edge; `ccw` likewise."""
-        return np.take_along_axis(self._present, self.pos, axis=1)
+        return self._present(self.pos)
 
     @cached_property
     def ccw(self) -> np.ndarray:
-        return np.take_along_axis(self._present, (self.pos - 1) % self.n, axis=1)
+        return self._present((self.pos - 1) % self.n)
 
     @cached_property
     def adjacent(self) -> np.ndarray:
@@ -362,7 +471,8 @@ def _view_of(trace: Trace) -> _TraceView:
 
 def _report(out: list[Violation], monitor: str, bad: np.ndarray, detail) -> None:
     """One violation per true cell (round, robot column) of `bad`."""
-    out.extend(Violation(monitor, int(t), detail(t, r)) for t, r in zip(*np.nonzero(bad)))
+    if bad.any():  # much cheaper than nonzero on a clean trace
+        out.extend(Violation(monitor, int(t), detail(t, r)) for t, r in zip(*np.nonzero(bad)))
 
 
 def _monitor_coherence(v: _TraceView, out: list[Violation]) -> None:
@@ -437,131 +547,155 @@ def _member_coherence(v: _TraceView, cols: Sequence[int]) -> int | None:
     return None if None in starts else max(starts)
 
 
-def _split_rounds(values: np.ndarray, lo: int, hi: int, cols: Sequence[int]) -> list[int]:
-    """Rounds lo..hi at which the member columns `cols` of `values` differ."""
-    part = values[lo : hi + 1, list(cols)]
-    return (lo + np.flatnonzero((part != part[:, :1]).any(axis=1))).tolist()
+def _split(values: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Per row of `values`: whether the member columns `cols` differ."""
+    out = values[:, cols[1]] != values[:, cols[0]]
+    for c in cols[2:]:
+        out |= values[:, c] != values[:, cols[0]]
+    return out
 
 
-def _monitor_tower_agreement(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
+def _hits(flags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """True flags in each inclusive interval [lo, hi]; none when hi < lo."""
+    csum = np.concatenate(([0], np.cumsum(flags, dtype=np.int32)))
+    return csum[np.maximum(hi + 1, lo)] - csum[lo]
+
+
+def _split_towers(flags: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(row, flagged rounds) of the rows whose interval [lo, hi] holds a flag."""
+    for j in np.flatnonzero(_hits(flags, lo, hi)).tolist():
+        yield int(rows[j]), (lo[j] + np.flatnonzero(flags[lo[j] : hi[j] + 1])).tolist()
+
+
+def _monitor_tower_agreement(v: _TraceView, towers: TowerTable, out: list[Violation]) -> None:
     """Long-lived tower members agree on the global direction at every Look."""
     dir_at = np.vstack([v.dir_look, v.gdir_cw[-1:]])  # configuration times 0..H
-    for tower in towers:
-        coh = _member_coherence(v, tower.member_cols)
-        if tower.long_lived is not True or coh is None:
-            continue
-        lo, hi = max(tower.t_start, coh), min(tower.t_end, v.h)
-        out.extend(
-            Violation("tower-direction-agreement", t, f"long-lived tower {tower.member_ids} "
-                      f"members consider different global directions")
-            for t in _split_rounds(dir_at, lo, hi, tower.member_cols)
-        )
+    found = []
+    for cols, rows in towers.groups(towers.long_lived == 1):
+        coh = _member_coherence(v, cols)
+        if coh is not None:
+            lo = np.maximum(towers.t_start[rows], coh)
+            hi = np.minimum(towers.t_end[rows], v.h)
+            found.extend(_split_towers(_split(dir_at, cols), rows, lo, hi))
+    for row, rounds in sorted(found):
+        detail = (f"long-lived tower {towers.member_ids(row)} "
+                  f"members consider different global directions")
+        out.extend(Violation("tower-direction-agreement", t, detail) for t in rounds)
 
 
 def _monitor_tower_predicates(
-    v: _TraceView, towers: list[Tower], algo: str, out: list[Violation]
+    v: _TraceView, towers: TowerTable, algo: str, out: list[Violation]
 ) -> None:
     """After the tower is edge-activated (twice, for the 2-robot rule), its
     members evaluate the direction-changing predicates identically."""
     activations_needed = 1 if algo == ALGO_PEF3 else 2
-    for tower in towers:
-        if tower.long_lived is not True:
-            continue
-        cols = tower.member_cols
+    found = []
+    for cols, rows in towers.groups(towers.long_lived == 1):
         acts = v.activations[cols[0]]
-        lo, hi = np.searchsorted(acts, [tower.t_start, min(tower.t_end, v.h)])
-        if hi - lo < activations_needed:
-            continue
-        start = int(acts[lo + activations_needed - 1]) + 1
-        stop = min(tower.t_end, v.h - 1)
-        split = set(_split_rounds(v.stuck, start, stop, cols))
+        lo = np.searchsorted(acts, towers.t_start[rows])
+        hi = np.searchsorted(acts, np.minimum(towers.t_end[rows], v.h))
+        start = np.append(acts, [v.h] * activations_needed)[lo + activations_needed - 1] + 1
+        stop = np.minimum(towers.t_end[rows], v.h - 1)
+        start = np.where(hi - lo < activations_needed, stop + 1, start)
+        split = _split(v.stuck, cols)
         if algo == ALGO_PEF3:
-            split.update(_split_rounds(v.more, start, stop, cols))
-        out.extend(
-            Violation("tower-predicate-agreement", t, f"long-lived tower {tower.member_ids} "
-                      f"members disagree on a direction-changing predicate")
-            for t in sorted(split)
-        )
+            split |= _split(v.more, cols)
+        found.extend(_split_towers(split, rows, start, stop))
+    for row, rounds in sorted(found):
+        detail = (f"long-lived tower {towers.member_ids(row)} "
+                  f"members disagree on a direction-changing predicate")
+        out.extend(Violation("tower-predicate-agreement", t, detail) for t in rounds)
 
 
 def _monitor_tower_formation(
-    v: _TraceView, towers: list[Tower], algo: str, out: list[Violation]
+    v: _TraceView, towers: TowerTable, algo: str, out: list[Violation]
 ) -> None:
     """New k-long-lived towers cannot arise; 3-towers need a 2-long-lived parent."""
-    # 2-long-lived intervals by start, with the latest end reached so far:
-    # some interval covers time t iff the latest end among those starting
-    # by t reaches t.
-    two_long = sorted((t.t_start, t.t_end) for t in towers if t.size == 2 and t.long_lived is True)
-    starts = [a for a, _ in two_long]
-    reach = list(accumulate((b for _, b in two_long), max))
-    for tower in towers:
-        a = tower.t_start
-        if v.k != 3 or tower.size != 3 or a < 1:
-            continue
-        j = bisect_right(starts, a - 1)
-        if not (j and reach[j - 1] >= a - 1):
-            out.append(Violation("three-tower-needs-two-long-lived", a, f"3-robot tower formed "
-                                 f"at {a} without a 2-long-lived tower present at {a - 1}"))
-        if tower.long_lived is True:
-            out.append(Violation("no-new-three-long-lived", a, f"3-long-lived tower "
-                                 f"{tower.member_ids} begins at {a} after a configuration "
-                                 f"without one"))
+    two_long = (towers.size == 2) & (towers.long_lived == 1)
+    if v.k == 3:
+        # Rows are sorted by start, so with the latest end reached so far
+        # some 2-long-lived interval covers time t iff the latest end
+        # among those starting by t reaches t.
+        starts = towers.t_start[two_long]
+        reach = np.append(-1, np.maximum.accumulate(towers.t_end[two_long]))
+        three = np.flatnonzero((towers.size == 3) & (towers.t_start >= 1))
+        a = towers.t_start[three]
+        orphan = reach[np.searchsorted(starts, a - 1, side="right")] < a - 1
+        out.extend(
+            Violation("three-tower-needs-two-long-lived", t, f"3-robot tower formed at {t} "
+                      f"without a 2-long-lived tower present at {t - 1}")
+            for t in a[orphan].tolist()
+        )
+        out.extend(
+            Violation("no-new-three-long-lived", int(towers.t_start[row]), f"3-long-lived tower "
+                      f"{towers.member_ids(row)} begins at {int(towers.t_start[row])} after a "
+                      f"configuration without one")
+            for row in three[towers.long_lived[three] == 1].tolist()
+        )
     if algo == ALGO_PEF2 and v.k == 2:
         out.extend(
-            Violation("no-new-two-long-lived", t.t_start, f"2-long-lived tower begins at "
-                      f"{t.t_start} after a configuration without one")
-            for t in towers
-            if t.size == 2 and t.long_lived is True and t.t_start >= 1
+            Violation("no-new-two-long-lived", t, f"2-long-lived tower begins at "
+                      f"{t} after a configuration without one")
+            for t in towers.t_start[two_long & (towers.t_start >= 1)].tolist()
         )
 
 
-def _monitor_ring_visited(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
+def _monitor_ring_visited(v: _TraceView, towers: TowerTable, out: list[Violation]) -> None:
     """All nodes are visited between consecutive qualifying 2-long-lived towers."""
     if v.k != 3 or v.t_max is None:
         return
-    if any(t.size == 3 and t.long_lived is True for t in towers):
+    if ((towers.size == 3) & (towers.long_lived == 1)).any():
         return
-    qualifying = [
-        t
-        for t in towers
-        if t.size == 2 and t.long_lived is True and not t.open_ended and t.t_start >= v.t_max
-    ]
-    qualifying.sort(key=lambda t: t.t_start)
-    for i in range(len(qualifying) - 1):
-        cur, nxt = qualifying[i], qualifying[i + 1]
-        if nxt.t_start > cur.t_end + 1:
-            lo, hi = cur.t_end, nxt.t_start - 1
-        elif nxt.t_start == cur.t_end + 1 and i + 1 >= 2:
-            lo, hi = max(cur.t_start - 1, 0), nxt.t_start - 1
-        else:
-            continue
-        seen = np.unique(v.cpos[lo : hi + 1])
-        if seen.size < v.n:
-            missing = sorted(set(range(v.n)) - set(int(x) for x in seen))
-            out.append(Violation("ring-visited-between-towers", nxt.t_start, f"nodes {missing} "
-                                 f"not visited in [{lo},{hi}] between consecutive 2-long-lived "
-                                 f"towers"))
+    rows = np.flatnonzero(
+        (towers.size == 2) & (towers.long_lived == 1) & ~towers.open_ended
+        & (towers.t_start >= v.t_max)
+    )
+    # Rows are sorted by start; pair i is (cur, nxt) = (rows[i], rows[i + 1]).
+    cur_start, cur_end = towers.t_start[rows[:-1]], towers.t_end[rows[:-1]]
+    nxt_start = towers.t_start[rows[1:]]
+    gap = nxt_start > cur_end + 1
+    adjacent = (nxt_start == cur_end + 1) & (np.arange(len(nxt_start)) >= 1)
+    lo = np.where(gap, cur_end, np.maximum(cur_start - 1, 0))[gap | adjacent]
+    hi = nxt_start[gap | adjacent] - 1
+    if not lo.size:
+        return
+    # Occupied nodes per configuration time as a bitmask (n <= 63), ORed
+    # over each interval [lo, hi]: reduceat ORs the half-open [lo, hi),
+    # and time hi joins after.
+    occupied = np.zeros(v.h + 1, dtype=np.int64)
+    for c in range(v.k):
+        occupied |= np.left_shift(1, v.cpos[:, c], dtype=np.int64)
+    seen = np.bitwise_or.reduceat(occupied, np.stack([lo, hi], axis=1).ravel())[0::2]
+    missing = ((1 << v.n) - 1) & ~(seen | occupied[hi])
+    for j in np.flatnonzero(missing).tolist():
+        nodes = [node for node in range(v.n) if int(missing[j]) >> node & 1]
+        out.append(Violation("ring-visited-between-towers", int(hi[j]) + 1, f"nodes {nodes} "
+                             f"not visited in [{lo[j]},{hi[j]}] between consecutive 2-long-lived "
+                             f"towers"))
 
 
-def _monitor_break_bound(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
+def _monitor_break_bound(v: _TraceView, towers: TowerTable, out: list[Violation]) -> None:
     """A stuck long-lived tower must break within the word-divergence budget."""
     ids = v.robot_ids
-    for tower in towers:
-        if tower.long_lived is not True:
-            continue
-        cols = list(tower.member_cols)
-        hi = min(tower.t_end, v.h - 1)
-        calls = int(v.stuck[tower.t_start : hi + 1, cols].all(axis=1).sum())
+    found = []
+    for cols, rows in towers.groups(towers.long_lived == 1):
+        stuck = v.stuck[:, cols[0]].copy()
+        for c in cols[1:]:
+            stuck &= v.stuck[:, c]
+        calls = _hits(stuck, towers.t_start[rows], np.minimum(towers.t_end[rows], v.h - 1))
         cap = min(
             2 * transformed_length(ids[a]) * transformed_length(ids[b])
             for a, b in combinations(cols, 2)
         )
-        if calls > cap:
-            out.append(Violation("tower-break-bound", tower.t_start, f"tower {tower.member_ids} "
-                                 f"saw {calls} synchronized stuck rounds, bound is {cap}"))
+        over = calls > cap
+        found.extend((row, c, cap) for row, c in zip(rows[over].tolist(), calls[over].tolist()))
+    for row, calls, cap in sorted(found):
+        out.append(Violation("tower-break-bound", int(towers.t_start[row]), f"tower "
+                             f"{towers.member_ids(row)} saw {calls} synchronized stuck "
+                             f"rounds, bound is {cap}"))
 
 
-def monitor_lemmas(trace: Trace, towers: list[Tower] | None = None) -> list[Violation]:
+def monitor_lemmas(trace: Trace, towers: TowerTable | None = None) -> list[Violation]:
     """Run every applicable invariant monitor over the trace."""
     v = _view_of(trace)
     if towers is None:

@@ -145,16 +145,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = read_trace_file(args.trace)
-    towers = analysis.detect_towers(trace)
-    violations = analysis.monitor_lemmas(trace, towers)
     suffix = args.suffix_start if args.suffix_start is not None else max(
         0, min(trace.rounds - 1, trace.rounds // 2)
     )
     cov = analysis.coverage(trace, suffix, args.window)
-    long_lived = sum(1 for t in towers if t.long_lived)
+    towers = analysis.detect_towers(trace)
+    violations = analysis.monitor_lemmas(trace, towers)
     print(f"rounds: {trace.rounds}   n: {trace.n}   algo: {trace.algo}")
     print(f"coverage[{suffix}:]: {cov.verdict()}")
-    print(f"towers: {len(towers)} ({long_lived} long-lived)")
+    print(f"towers: {towers.census()}")
     coh = {rid: analysis.coherence_round(trace, rid) for rid in trace.robot_ids}
     print(f"coherence rounds: {coh}")
     if eventual_missing_description(trace.meta.get("schedule")) is not None:

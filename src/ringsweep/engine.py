@@ -905,7 +905,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
     Lines exactly as `write_trace` emits them are matched by one pattern
     built from the header's ring size and robot ids; any other JSON layout
     of the same objects goes through json.loads and reads back the same.
-    A value outside its column's range is a TraceParseError on its line.
+    A value outside its column's range is a TraceParseError on its line,
+    and so is a header whose `rounds` is not the number of round records.
     """
     it = iter(enumerate(lines, start=1))
     try:
@@ -974,6 +975,12 @@ def read_trace(lines: Iterable[str]) -> Trace:
         rows.add_record(edges, fields)
     if expected_t == 0:
         raise TraceParseError(2, "trace has no round records")
+    declared = meta.get("rounds", expected_t)
+    if type(declared) is not int or declared != expected_t:
+        raise TraceParseError(
+            1, f"header declares {_dumps(declared)} rounds but the file holds {expected_t} "
+            f"round records"
+        )
     cols = rows.columns()
     pos_arr, gdir_arr, moved_arr = cols["pos"], cols["gdir_cw"], cols["moved"]
     delta = np.where(gdir_arr[-1], 1, -1)

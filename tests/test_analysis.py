@@ -1,15 +1,17 @@
 """Towers, coverage, coherence, monitors, sentinel report."""
 import random
-from dataclasses import replace
-from itertools import combinations
-from types import SimpleNamespace
+import sys
+from bisect import bisect_right
+from itertools import accumulate, combinations
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from ringsweep import analysis
+from ringsweep.analysis import Tower, Violation, _TraceView, _true_runs, _view_of
 from ringsweep.directions import Chirality, Direction
-from ringsweep.engine import Trace, fuzz_initial, run_states
+from ringsweep.engine import ALGO_PEF2, ALGO_PEF3, Trace, fuzz_initial, run_states
 from ringsweep.ring_model import (
     INF,
     EdgeRemovalSpec,
@@ -18,7 +20,8 @@ from ringsweep.ring_model import (
     RemovalSchedule,
     StaticSchedule,
 )
-from ringsweep.robot_core import RobotState
+from ringsweep.robot_core import KNOWN_MUTATIONS, NO_MUTATIONS, RobotState
+from ringsweep.words import transformed_length
 
 CW = Chirality.RIGHT_IS_CLOCKWISE
 R = Direction.RIGHT
@@ -48,7 +51,7 @@ class TestTowers:
             RobotState.make(2, 4, R, CW),
         ]
         trace = run_states(6, "pef3", robots, 40, schedule=StaticSchedule(6))
-        assert analysis.detect_towers(trace) == []
+        assert len(analysis.detect_towers(trace)) == 0
 
     def test_stacked_without_edges_then_separation_is_short_lived(self):
         # Both edges of node 1 absent for rounds 0..4; at round 5 the
@@ -197,6 +200,325 @@ def brute_force_towers(trace):
             ids = tuple(trace.robot_ids[c] for c in cols)
             found.append((ids, a, b, b == horizon, long_lived, first, nodes))
     return sorted(found)
+
+
+# -- Reference: towers as a list of `Tower` objects, one monitor pass per tower.
+# The implementation `analysis` had before its tower table; the oracle test
+# checks the table and its array-pass monitors against it.
+
+def reference_towers(trace: Trace) -> list[Tower]:
+    """All maximal towers of the trace, classified long/short-lived.
+
+    Maximality is two-sided: the interval cannot be extended for the
+    member set, and the member set cannot be extended over the same
+    interval.  Co-movement inside the interval is implied by co-location
+    at consecutive times on a ring with n >= 3 (a round moves a robot by
+    at most one node), so detection reduces to co-location runs.
+    """
+    if trace.rounds == 0:
+        return []
+    v = _view_of(trace)
+    towers: list[Tower] = []
+    for size in range(2, v.k + 1):
+        for cols in combinations(range(v.k), size):
+            s0, m = cols[0], sum(1 << c for c in cols)
+            together = v.together[:, s0]
+            runs = _true_runs((together & m) == m)
+            # The AND of s0's co-location masks over a run is the largest
+            # set co-located with s0 through the whole run, so the member
+            # set cannot be extended exactly when that AND is m.  reduceat
+            # ANDs the half-open [a, b) (b may be the last row); row b
+            # joins after.
+            whole = np.bitwise_and.reduceat(together, runs.ravel())[0::2] & together[runs[:, 1]]
+            runs = runs[whole == m]
+            # s0 stands on the tower's node, so its activations are the
+            # tower's; v.h stands for none.  Rounds a..b-1 are inside the
+            # interval, and for a closed tower round b is the breaking round.
+            acts = v.activations[s0]
+            firsts = np.append(acts, v.h)[np.searchsorted(acts, runs[:, 0])]
+            member_ids = tuple(v.robot_ids[c] for c in cols)
+            for (a, b), first in zip(runs.tolist(), firsts.tolist()):
+                active = first < b
+                towers.append(
+                    Tower(
+                        member_ids=member_ids,
+                        member_cols=cols,
+                        t_start=a,
+                        t_end=b,
+                        nodes=v.cpos[a : b + 1, s0],
+                        open_ended=b == v.h,
+                        long_lived=True if active else (None if b == v.h else False),
+                        first_activation=first if active else None,
+                    )
+                )
+    towers.sort(key=lambda t: (t.t_start, t.t_end, t.member_ids))
+    return towers
+
+
+def _member_coherence(v: _TraceView, cols: Sequence[int]) -> int | None:
+    starts = [v.coherence[c] for c in cols]
+    return None if None in starts else max(starts)
+
+
+def _split_rounds(values: np.ndarray, lo: int, hi: int, cols: Sequence[int]) -> list[int]:
+    """Rounds lo..hi at which the member columns `cols` of `values` differ."""
+    part = values[lo : hi + 1, list(cols)]
+    return (lo + np.flatnonzero((part != part[:, :1]).any(axis=1))).tolist()
+
+
+def _monitor_tower_agreement(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
+    """Long-lived tower members agree on the global direction at every Look."""
+    dir_at = np.vstack([v.dir_look, v.gdir_cw[-1:]])  # configuration times 0..H
+    for tower in towers:
+        coh = _member_coherence(v, tower.member_cols)
+        if tower.long_lived is not True or coh is None:
+            continue
+        lo, hi = max(tower.t_start, coh), min(tower.t_end, v.h)
+        out.extend(
+            Violation("tower-direction-agreement", t, f"long-lived tower {tower.member_ids} "
+                      f"members consider different global directions")
+            for t in _split_rounds(dir_at, lo, hi, tower.member_cols)
+        )
+
+
+def _monitor_tower_predicates(
+    v: _TraceView, towers: list[Tower], algo: str, out: list[Violation]
+) -> None:
+    """After the tower is edge-activated (twice, for the 2-robot rule), its
+    members evaluate the direction-changing predicates identically."""
+    activations_needed = 1 if algo == ALGO_PEF3 else 2
+    for tower in towers:
+        if tower.long_lived is not True:
+            continue
+        cols = tower.member_cols
+        acts = v.activations[cols[0]]
+        lo, hi = np.searchsorted(acts, [tower.t_start, min(tower.t_end, v.h)])
+        if hi - lo < activations_needed:
+            continue
+        start = int(acts[lo + activations_needed - 1]) + 1
+        stop = min(tower.t_end, v.h - 1)
+        split = set(_split_rounds(v.stuck, start, stop, cols))
+        if algo == ALGO_PEF3:
+            split.update(_split_rounds(v.more, start, stop, cols))
+        out.extend(
+            Violation("tower-predicate-agreement", t, f"long-lived tower {tower.member_ids} "
+                      f"members disagree on a direction-changing predicate")
+            for t in sorted(split)
+        )
+
+
+def _monitor_tower_formation(
+    v: _TraceView, towers: list[Tower], algo: str, out: list[Violation]
+) -> None:
+    """New k-long-lived towers cannot arise; 3-towers need a 2-long-lived parent."""
+    # 2-long-lived intervals by start, with the latest end reached so far:
+    # some interval covers time t iff the latest end among those starting
+    # by t reaches t.
+    two_long = sorted((t.t_start, t.t_end) for t in towers if t.size == 2 and t.long_lived is True)
+    starts = [a for a, _ in two_long]
+    reach = list(accumulate((b for _, b in two_long), max))
+    for tower in towers:
+        a = tower.t_start
+        if v.k != 3 or tower.size != 3 or a < 1:
+            continue
+        j = bisect_right(starts, a - 1)
+        if not (j and reach[j - 1] >= a - 1):
+            out.append(Violation("three-tower-needs-two-long-lived", a, f"3-robot tower formed "
+                                 f"at {a} without a 2-long-lived tower present at {a - 1}"))
+        if tower.long_lived is True:
+            out.append(Violation("no-new-three-long-lived", a, f"3-long-lived tower "
+                                 f"{tower.member_ids} begins at {a} after a configuration "
+                                 f"without one"))
+    if algo == ALGO_PEF2 and v.k == 2:
+        out.extend(
+            Violation("no-new-two-long-lived", t.t_start, f"2-long-lived tower begins at "
+                      f"{t.t_start} after a configuration without one")
+            for t in towers
+            if t.size == 2 and t.long_lived is True and t.t_start >= 1
+        )
+
+
+def _monitor_ring_visited(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
+    """All nodes are visited between consecutive qualifying 2-long-lived towers."""
+    if v.k != 3 or v.t_max is None:
+        return
+    if any(t.size == 3 and t.long_lived is True for t in towers):
+        return
+    qualifying = [
+        t
+        for t in towers
+        if t.size == 2 and t.long_lived is True and not t.open_ended and t.t_start >= v.t_max
+    ]
+    qualifying.sort(key=lambda t: t.t_start)
+    for i in range(len(qualifying) - 1):
+        cur, nxt = qualifying[i], qualifying[i + 1]
+        if nxt.t_start > cur.t_end + 1:
+            lo, hi = cur.t_end, nxt.t_start - 1
+        elif nxt.t_start == cur.t_end + 1 and i + 1 >= 2:
+            lo, hi = max(cur.t_start - 1, 0), nxt.t_start - 1
+        else:
+            continue
+        seen = np.unique(v.cpos[lo : hi + 1])
+        if seen.size < v.n:
+            missing = sorted(set(range(v.n)) - set(int(x) for x in seen))
+            out.append(Violation("ring-visited-between-towers", nxt.t_start, f"nodes {missing} "
+                                 f"not visited in [{lo},{hi}] between consecutive 2-long-lived "
+                                 f"towers"))
+
+
+def _monitor_break_bound(v: _TraceView, towers: list[Tower], out: list[Violation]) -> None:
+    """A stuck long-lived tower must break within the word-divergence budget."""
+    ids = v.robot_ids
+    for tower in towers:
+        if tower.long_lived is not True:
+            continue
+        cols = list(tower.member_cols)
+        hi = min(tower.t_end, v.h - 1)
+        calls = int(v.stuck[tower.t_start : hi + 1, cols].all(axis=1).sum())
+        cap = min(
+            2 * transformed_length(ids[a]) * transformed_length(ids[b])
+            for a, b in combinations(cols, 2)
+        )
+        if calls > cap:
+            out.append(Violation("tower-break-bound", tower.t_start, f"tower {tower.member_ids} "
+                                 f"saw {calls} synchronized stuck rounds, bound is {cap}"))
+
+
+
+def reference_lemmas(trace: Trace) -> tuple[list[Tower], list[Violation]]:
+    """The reference towers and `monitor_lemmas` findings of the trace."""
+    v = _view_of(trace)
+    towers = reference_towers(trace)
+    out: list[Violation] = []
+    analysis._monitor_coherence(v, out)
+    analysis._monitor_movement(v, out)
+    analysis._monitor_index_advance(v, out)
+    analysis._monitor_observation(v, out)
+    _monitor_tower_agreement(v, towers, out)
+    _monitor_tower_predicates(v, towers, trace.algo, out)
+    _monitor_tower_formation(v, towers, trace.algo, out)
+    _monitor_ring_visited(v, towers, out)
+    _monitor_break_bound(v, towers, out)
+    out.sort(key=lambda viol: (viol.round, viol.monitor))
+    return towers, out
+
+
+MUTATION_CASES = [NO_MUTATIONS] + [frozenset({m}) for m in sorted(KNOWN_MUTATIONS)]
+TOWER_MONITORS = {
+    "tower-direction-agreement", "tower-predicate-agreement", "three-tower-needs-two-long-lived",
+    "no-new-three-long-lived", "no-new-two-long-lived", "ring-visited-between-towers",
+    "tower-break-bound",
+}
+
+
+def fuzzed_trace(case: int) -> Trace:
+    """A short run of case-drawn ring, cohort (robot ids in no particular
+    order), algorithm, schedule class and mutation flag, with a few of its
+    state cells edited by hand."""
+    rng = random.Random(case)
+    n, k = rng.randint(3, 8), rng.randint(2, 4)
+    algo = ("pef3", "pef2")[case % 2]
+    kind = ("recurrent", "eventual_missing", "removal")[case // 2 % 3]
+    mutations = MUTATION_CASES[case // 6 % len(MUTATION_CASES)]
+    sched = RecurrentRandomSchedule(n, rng.choice((0.3, 0.5, 0.8)), rng.randint(2, 8), case)
+    if kind == "eventual_missing":
+        sched = EventualMissingSchedule(sched, rng.randrange(n), rng.randrange(50))
+    elif kind == "removal":
+        spec = [
+            (rng.randrange(n), rng.randrange(100), rng.choice((rng.randrange(100, 300), INF)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        inner = sched if rng.random() < 0.5 else StaticSchedule(n)
+        sched = RemovalSchedule(inner, EdgeRemovalSpec.of(spec))
+    states = fuzz_initial(n, rng.sample(range(6), k), rng)
+    trace = run_states(n, algo, states, rng.randint(100, 400), schedule=sched, mutations=mutations)
+    for _ in range(rng.choice((0, 0, 1, 3, 10))):
+        column = rng.choice(("pos", "gdir_cw", "idx", "nrpea", "hmpea"))
+        values = getattr(trace, column).copy()
+        t, r = rng.randrange(trace.rounds), rng.randrange(k)
+        if values.dtype == bool:
+            values[t, r] = not values[t, r]
+        else:
+            values[t, r] = rng.randrange(n) if column == "pos" else rng.randint(1, 8)
+        setattr(trace, column, values)
+    if rng.random() < 0.3:  # the cohort stands still for a while
+        pos, t = trace.pos.copy(), rng.randrange(trace.rounds)
+        pos[t : t + rng.randint(5, 40)] = pos[t]
+        trace.pos = pos
+    trace._cache.clear()
+    return trace
+
+
+def random_tower_rows(v: _TraceView, rng: random.Random) -> list[tuple]:
+    """Rows of arbitrary towers over the view's horizon, mostly pairs, with
+    a chain of closely spaced pair towers half of the time for k = 3."""
+    sets = [cols for size in range(2, v.k + 1) for cols in combinations(range(v.k), size)]
+    rows = []
+    for _ in range(rng.randrange(40)):
+        a = rng.randrange(v.h + 1)
+        b = min(v.h, a + rng.randrange(60))
+        kind = rng.choice((True, True, False, None))
+        cols = rng.choice(sets if rng.random() < 0.3 else sets[:3])
+        rows.append((cols, a, b, kind, a if kind else None))
+    if v.k == 3 and rng.random() < 0.5:
+        t = rng.randrange(v.h // 2)
+        while t < v.h:
+            b = min(v.h - 1, t + rng.randrange(6))
+            rows.append((rng.choice(sets[:3]), t, b, True, t))
+            t = b + rng.choice((1, 1, 2, 5, 30))
+    return rows
+
+
+def tower_findings(monitors, v: _TraceView, towers, algo: str) -> list[Violation]:
+    """The sorted findings of the five tower monitors of `monitors` (the
+    `analysis` module or this one's reference)."""
+    out: list[Violation] = []
+    monitors._monitor_tower_agreement(v, towers, out)
+    monitors._monitor_tower_predicates(v, towers, algo, out)
+    monitors._monitor_tower_formation(v, towers, algo, out)
+    monitors._monitor_ring_visited(v, towers, out)
+    monitors._monitor_break_bound(v, towers, out)
+    out.sort(key=lambda viol: (viol.round, viol.monitor))
+    return out
+
+
+class TestTowerTableOracle:
+    def test_table_and_findings_match_reference(self):
+        # Over fuzzed and hand-edited traces: the detected table against
+        # the reference towers, the full findings against the reference
+        # findings, again with a mostly-stuck view (so break bounds are
+        # exceeded), and the tower monitors over arbitrary tables.
+        this = sys.modules[__name__]
+        fired = {"detected": set(), "stuck": set(), "rows": set()}
+        shapes = set()
+        for case in range(240):
+            trace = fuzzed_trace(case)
+            v = _view_of(trace)
+            shapes.add((v.k, trace.algo))
+            towers, expected = reference_lemmas(trace)
+            table = analysis.detect_towers(trace)
+            assert reported(table) == reported(towers), case
+            order = [(t.t_start, t.t_end, t.member_ids) for t in towers]
+            assert [(t.t_start, t.t_end, t.member_ids) for t in table] == order, case
+            assert analysis.monitor_lemmas(trace, table) == expected, case
+            fired["detected"] |= {viol.monitor for viol in expected}
+
+            stuck = np.random.default_rng(case).random(v.stuck.shape) < 0.98
+            v.__dict__["stuck"] = stuck
+            _, expected = reference_lemmas(trace)
+            assert analysis.monitor_lemmas(trace, table) == expected, case
+            fired["stuck"] |= {viol.monitor for viol in expected}
+
+            rows = analysis.TowerTable.from_rows(v, random_tower_rows(v, random.Random(case)))
+            expected = tower_findings(this, v, list(rows), trace.algo)
+            assert tower_findings(analysis, v, rows, trace.algo) == expected, case
+            fired["rows"] |= {viol.monitor for viol in expected}
+        assert shapes == {(k, algo) for k in (2, 3, 4) for algo in ("pef2", "pef3")}
+        # Every tower monitor reports something, so its findings are
+        # compared and not only empty lists.
+        assert TOWER_MONITORS - {"tower-break-bound", "ring-visited-between-towers"} <= fired["detected"]
+        assert "tower-break-bound" in fired["stuck"]
+        assert TOWER_MONITORS <= fired["rows"]
 
 
 class TestTraceView:
@@ -375,29 +697,19 @@ class TestMonitors:
         assert analysis.trace_t_max(trace) == 1
         return analysis._TraceView(trace)
 
-    def _tower(self, ids, cols, start, end, long_lived=True, size_nodes=None):
-        import numpy as np
-
-        return analysis.Tower(
-            member_ids=ids,
-            member_cols=cols,
-            t_start=start,
-            t_end=end,
-            nodes=np.zeros(end - start + 1, dtype=np.int16),
-            open_ended=False,
-            long_lived=long_lived,
-            first_activation=start if long_lived else None,
-        )
+    @staticmethod
+    def _row(cols, start, end, long_lived=True):
+        return (cols, start, end, long_lived, start if long_lived else None)
 
     def test_ring_visited_monitor_gap_branch(self):
         # Two consecutive closed 2-long-lived towers with a gap between
         # them: the frozen cohort never visits node 3, so the monitor must
         # flag the window.
         view = self._frozen_cohort_view()
-        towers = [
-            self._tower((0, 1), (0, 1), 3, 6),
-            self._tower((1, 2), (1, 2), 12, 15),
-        ]
+        towers = analysis.TowerTable.from_rows(view, [
+            self._row((0, 1), 3, 6),
+            self._row((1, 2), 12, 15),
+        ])
         out = []
         analysis._monitor_ring_visited(view, towers, out)
         assert len(out) == 1
@@ -406,22 +718,23 @@ class TestMonitors:
 
     def test_ring_visited_monitor_adjacent_branch_skips_first_tower(self):
         view = self._frozen_cohort_view()
-        first = self._tower((0, 1), (0, 1), 3, 6)
-        second = self._tower((1, 2), (1, 2), 7, 10)  # starts right after the first
+        first = self._row((0, 1), 3, 6)
+        second = self._row((1, 2), 7, 10)  # starts right after the first
         out = []
-        analysis._monitor_ring_visited(view, [first, second], out)
+        analysis._monitor_ring_visited(view, analysis.TowerTable.from_rows(view, [first, second]), out)
         # The adjacent-towers claim holds only from the second tower on.
         assert out == []
-        third = self._tower((0, 2), (0, 2), 11, 14)
+        third = self._row((0, 2), 11, 14)
         out = []
-        analysis._monitor_ring_visited(view, [first, second, third], out)
+        towers = analysis.TowerTable.from_rows(view, [first, second, third])
+        analysis._monitor_ring_visited(view, towers, out)
         assert len(out) == 1 and out[0].round == 11
 
     def test_formation_monitors_flag_crafted_towers(self):
         view = self._frozen_cohort_view()
-        rogue3 = self._tower((0, 1, 2), (0, 1, 2), 5, 9)
+        rogue3 = self._row((0, 1, 2), 5, 9)
         out = []
-        analysis._monitor_tower_formation(view, [rogue3], "pef3", out)
+        analysis._monitor_tower_formation(view, analysis.TowerTable.from_rows(view, [rogue3]), "pef3", out)
         monitors = {v.monitor for v in out}
         # A 3-robot tower popping up without a 2-long-lived parent violates
         # both the formation precondition and the no-new-long-lived claim.
@@ -429,16 +742,18 @@ class TestMonitors:
             "three-tower-needs-two-long-lived",
             "no-new-three-long-lived",
         }
-        with_parent = [self._tower((0, 1), (0, 1), 2, 5), rogue3]
+        with_parent = analysis.TowerTable.from_rows(view, [self._row((0, 1), 2, 5), rogue3])
         out = []
         analysis._monitor_tower_formation(view, with_parent, "pef3", out)
         assert {v.monitor for v in out} == {"no-new-three-long-lived"}
 
     def test_three_tower_parent_check_matches_brute_force(self):
         # The interval sweep against the direct scan over all 2-long-lived
-        # towers, on random tower lists and on mutated detected ones.
+        # towers, on random tower tables and on mutated detected ones.
         rng = random.Random(12)
-        view = SimpleNamespace(k=3)
+        states = fuzz_initial(4, [0, 1, 2], random.Random(1))
+        trace = run_states(4, "pef3", states, 3000, schedule=RecurrentRandomSchedule(4, 0.5, 8, 1))
+        view = analysis._view_of(trace)
 
         def brute(towers):
             two_long = [t for t in towers if t.size == 2 and t.long_lived is True]
@@ -454,19 +769,15 @@ class TestMonitors:
             analysis._monitor_tower_formation(view, towers, "pef3", out)
             return sorted(v.round for v in out if v.monitor == "three-tower-needs-two-long-lived")
 
-        def random_tower(size):
+        def random_row(size):
             start = rng.randrange(0, 60)
             kind = rng.choice([True, False, None])
-            tower = self._tower(tuple(range(size)), tuple(range(size)), start,
-                                start + rng.randrange(0, 8), long_lived=kind is True)
-            return replace(tower, long_lived=kind)
+            return self._row(tuple(range(size)), start, start + rng.randrange(0, 8), kind)
 
         cases = [
-            [random_tower(rng.choice((2, 2, 3))) for _ in range(rng.randrange(0, 25))]
+            [random_row(rng.choice((2, 2, 3))) for _ in range(rng.randrange(0, 25))]
             for _ in range(300)
         ]
-        states = fuzz_initial(4, [0, 1, 2], random.Random(1))
-        trace = run_states(4, "pef3", states, 3000, schedule=RecurrentRandomSchedule(4, 0.5, 8, 1))
         detected = analysis.detect_towers(trace)
         assert brute(detected) == [] and any(t.size == 3 for t in detected)
         for _ in range(100):
@@ -474,13 +785,15 @@ class TestMonitors:
             for t in detected:
                 if t.size == 2 and rng.random() < 0.1:
                     continue  # a 2-long-lived parent goes missing
+                start, end = t.t_start, t.t_end
                 if rng.random() < 0.05:
                     shift = rng.choice((-1, 1))
-                    t = replace(t, t_start=max(0, t.t_start + shift), t_end=t.t_end + shift)
-                mutated.append(t)
+                    start, end = max(0, start + shift), end + shift
+                mutated.append((t.member_cols, start, end, t.long_lived, t.first_activation))
             cases.append(mutated)
         flagged = 0
-        for towers in cases:
+        for rows in cases:
+            towers = analysis.TowerTable.from_rows(view, rows)
             assert swept(towers) == brute(towers)
             flagged += bool(brute(towers))
         assert flagged > 50
@@ -495,13 +808,13 @@ class TestMonitors:
         ]
         trace = run_states(4, "pef2", robots, 20, schedule=sched)
         view = analysis._TraceView(trace)
-        rogue = self._tower((0, 1), (0, 1), 4, 8)
+        rogue = analysis.TowerTable.from_rows(view, [self._row((0, 1), 4, 8)])
         out = []
-        analysis._monitor_tower_formation(view, [rogue], "pef2", out)
+        analysis._monitor_tower_formation(view, rogue, "pef2", out)
         assert [v.monitor for v in out] == ["no-new-two-long-lived"]
-        innocent = self._tower((0, 1), (0, 1), 0, 8)  # present from the start
+        innocent = analysis.TowerTable.from_rows(view, [self._row((0, 1), 0, 8)])  # present from the start
         out = []
-        analysis._monitor_tower_formation(view, [innocent], "pef2", out)
+        analysis._monitor_tower_formation(view, innocent, "pef2", out)
         assert out == []
 
     def test_findings_writer_format(self, tmp_path):

@@ -59,6 +59,8 @@ BAD_COMMAND_LINES = {
     ("words", "--table", "-1"): "--table MAX_ID must be >= 0, got -1",
     ("search", "--n", "4", "--robots", "0,1", "--state-budget", "0"):
         "state_budget must be >= 1, got 0",
+    ("analyze", "{trace}", "--window", "0"): "window must be >= 1, got 0",
+    ("analyze", "{trace}", "--window", "-1"): "window must be >= 1, got -1",
 }
 
 
@@ -319,6 +321,10 @@ class TestCli:
             ("trace", (1, "robots", 1, "nrpea", Put(2**63))),
             ("trace", (1, "edges", Put(-1))),
             ("trace", (0, "meta", "robots", 0, "i", Put(-(2**63) - 1))),
+            # A 6-round trace whose last record was cut off:
+            ("trace", (0, "meta", "rounds", Put(6))),
+            ("trace", (0, "meta", "rounds", Put(4))),
+            ("trace", (0, "meta", "rounds", Put("5"))),
             ("witness", (0, "robots")),
             ("witness", (0, "robots", 0, "chirality")),
             ("witness", (1, "absent")),
@@ -338,8 +344,12 @@ class TestCli:
         if kind not in ("trace", "witness"):  # a command line
             if "witness:{witness}" in path:
                 assert cli.main(facing_pair_search(target)) == 0
+            if "{trace}" in path:
+                argv = ["simulate", "--n", "5", "--robots", "0,1,2", "--rounds", "50"]
+                assert cli.main(argv + ["--out", str(target)]) in (0, 1)
             capsys.readouterr()
-            assert cli.main([kind, *(arg.format(witness=target) for arg in path)]) == 2
+            args = (arg.format(witness=target, trace=target) for arg in path)
+            assert cli.main([kind, *args]) == 2
             assert BAD_COMMAND_LINES[(kind, *path)] in capsys.readouterr().err
             return
         if kind == "trace":
