@@ -101,7 +101,8 @@ class TowerTable:
         self.k, self.h = v.k, v.h
         self._ids, self._cpos = v.robot_ids, v.cpos
         sets, inv = np.unique(np.asarray(mask, dtype=np.int64), return_inverse=True)
-        cols = [self.cols_of(m) for m in sets.tolist()]
+        self._sets = sets.tolist()
+        cols = [self.cols_of(m) for m in self._sets]
         by_ids = sorted(range(len(cols)), key=lambda j: [self._ids[c] for c in cols[j]])
         rank = np.empty(len(cols), dtype=np.int64)
         rank[by_ids] = np.arange(len(cols))
@@ -139,8 +140,10 @@ class TowerTable:
 
     def groups(self, selected: np.ndarray):
         """(member columns, row indices) of the selected rows, one pair per member set."""
-        for m in np.unique(self.mask[selected]).tolist():
-            yield self.cols_of(m), np.flatnonzero(selected & (self.mask == m))
+        for m in self._sets:
+            rows = np.flatnonzero(selected & (self.mask == m))
+            if rows.size:
+                yield self.cols_of(m), rows
 
     def census(self) -> str:
         """Tower count by kind and by size, e.g. `9 (2 long-lived, 7 short-lived,
@@ -202,33 +205,34 @@ def detect_towers(trace: Trace) -> TowerTable:
     inside = np.zeros((len(sets), width + 2), dtype=bool)
     inside[:, 1:-1] = (together & m[:, None]) == m[:, None]
     # Runs of True start and end at the flips of each padded row; the rows
-    # start and end False, so flips pair up within a row.
+    # start and end False, so flips pair up within a row.  `which` is the
+    # member set of each run.
     flips = np.flatnonzero(inside[:, 1:] != inside[:, :-1])
-    row, a = np.divmod(flips[0::2], width + 1)
-    b = flips[1::2] - row * (width + 1) - 1
+    which, a = np.divmod(flips[0::2], width + 1)
+    b = flips[1::2] - which * (width + 1) - 1
     # The AND of s0's co-location masks over a run is the largest set
     # co-located with s0 through the whole run, so the member set cannot
     # be extended exactly when that AND is m.  reduceat ANDs the half-open
     # [a, b) of the flattened rows (b may be the last time); time b joins
     # after.
     flat = together.ravel()
-    lo, hi = row * width + a, row * width + b
+    lo, hi = which * width + a, which * width + b
     whole = np.bitwise_and.reduceat(flat, np.stack([lo, hi], axis=1).ravel())[0::2] & flat[hi]
-    keep = whole == m[row]
-    row, a, b = row[keep], a[keep], b[keep]
+    keep = whole == m[which]
+    which, a, b = which[keep], a[keep], b[keep]
     # s0 stands on the tower's node, so its activations are the tower's;
     # v.h stands for none.  Rounds a..b-1 are inside the interval, and for
     # a closed tower round b is the breaking round.
     first = np.empty_like(a)
-    anchor = s0[row]
-    for c in np.unique(anchor).tolist():
+    anchor = s0[which]
+    for c in range(v.k - 1):  # every set's lowest column
         acts = v.activations[c]
         on = anchor == c
         first[on] = np.append(acts, v.h)[np.searchsorted(acts, a[on])]
     active = first < b
     return TowerTable(
         v,
-        m.astype(np.int64)[row],
+        m.astype(np.int64)[which],
         a,
         b,
         np.where(active, first, -1),
@@ -650,6 +654,8 @@ def _monitor_ring_visited(v: _TraceView, towers: TowerTable, out: list[Violation
         (towers.size == 2) & (towers.long_lived == 1) & ~towers.open_ended
         & (towers.t_start >= v.t_max)
     )
+    if rows.size < 2:
+        return
     # Rows are sorted by start; pair i is (cur, nxt) = (rows[i], rows[i + 1]).
     cur_start, cur_end = towers.t_start[rows[:-1]], towers.t_end[rows[:-1]]
     nxt_start = towers.t_start[rows[1:]]
