@@ -29,8 +29,9 @@ all-stuck array is summed over that set's tower intervals with prefix
 sums (a set's maximal runs never overlap), and only towers with a
 non-zero count are expanded into rounds.  Formation is a sorted search
 over the 2-long-lived starts and the running maximum of their ends;
-ring-visited ORs a per-time bitmask of occupied nodes over each
-qualifying interval.
+ring-visited ORs the view's per-time bitmask of occupied nodes over each
+qualifying interval, and `coverage` reads each node's visit times from
+the same bitmask.
 """
 from __future__ import annotations
 
@@ -282,15 +283,15 @@ def coverage(trace: Trace, suffix_start: int, window: int | None = None) -> Cove
         raise ValueError(
             f"trace suffix of length {horizon - suffix_start} is shorter than window {window}"
         )
-    positions = trace.config_positions()[suffix_start:]
-    span = positions.shape[0] - 1  # config times suffix_start .. horizon
+    occupied = _view_of(trace).occupied[suffix_start:]
+    span = occupied.size - 1  # config times suffix_start .. horizon
     node_max_gap: dict[int, int | None] = {}
     node_visits: dict[int, int] = {}
     node_visit_rounds: dict[int, np.ndarray] = {}
     worst_gap = 0
     starved = None
     for v in range(trace.n):
-        ts = np.flatnonzero((positions == v).any(axis=1))
+        ts = np.flatnonzero(occupied & 1 << v)
         node_visits[v] = int(ts.size)
         node_visit_rounds[v] = ts + suffix_start
         if ts.size == 0:
@@ -413,6 +414,14 @@ class _TraceView:
         out = np.zeros(self.pos.shape, dtype=np.min_scalar_type(self.k))
         for c in range(self.k):
             out += self.pos == self.pos[:, c : c + 1]
+        return out
+
+    @cached_property
+    def occupied(self) -> np.ndarray:
+        """(H+1,) int64 bitmask of the occupied nodes at each configuration time (n <= 63)."""
+        out = np.zeros(self.h + 1, dtype=np.int64)
+        for c in range(self.k):
+            out |= np.left_shift(1, self.cpos[:, c], dtype=np.int64)
         return out
 
     def _present(self, edge: np.ndarray) -> np.ndarray:
@@ -665,14 +674,10 @@ def _monitor_ring_visited(v: _TraceView, towers: TowerTable, out: list[Violation
     hi = nxt_start[gap | adjacent] - 1
     if not lo.size:
         return
-    # Occupied nodes per configuration time as a bitmask (n <= 63), ORed
-    # over each interval [lo, hi]: reduceat ORs the half-open [lo, hi),
-    # and time hi joins after.
-    occupied = np.zeros(v.h + 1, dtype=np.int64)
-    for c in range(v.k):
-        occupied |= np.left_shift(1, v.cpos[:, c], dtype=np.int64)
-    seen = np.bitwise_or.reduceat(occupied, np.stack([lo, hi], axis=1).ravel())[0::2]
-    missing = ((1 << v.n) - 1) & ~(seen | occupied[hi])
+    # Occupied nodes ORed over each interval [lo, hi]: reduceat ORs the
+    # half-open [lo, hi), and time hi joins after.
+    seen = np.bitwise_or.reduceat(v.occupied, np.stack([lo, hi], axis=1).ravel())[0::2]
+    missing = ((1 << v.n) - 1) & ~(seen | v.occupied[hi])
     for j in np.flatnonzero(missing).tolist():
         nodes = [node for node in range(v.n) if int(missing[j]) >> node & 1]
         out.append(Violation("ring-visited-between-towers", int(hi[j]) + 1, f"nodes {nodes} "

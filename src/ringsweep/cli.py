@@ -48,7 +48,7 @@ def _default_seed() -> int:
     try:
         return int(env) if env else 0
     except ValueError:
-        return 0
+        raise ValueError(f"RINGSWEEP_SEED must be an integer, got {env!r}") from None
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -132,6 +132,8 @@ def _simulate_one(sc: Scenario, out_path: str | None, print_prefix: str = "") ->
 
 
 def cmd_simulate(args) -> int:
+    if args.batch is not None and args.batch < 1:
+        raise ValueError(f"--batch must be >= 1, got {args.batch}")
     sc = _scenario_from_args(args)
     if args.batch is None:
         return _simulate_one(sc, args.out)

@@ -15,13 +15,11 @@ memoized per run in a `_LocalTable`, so a long run computes each distinct
 (local state, observation) pair once; the game search in `adversary`
 steps through the same table.  Property tests hold the two bit-identical.
 
-`run_states` has two loops over that table.  Under a schedule every robot
-steps through it every round.  Under a reactive strategy the whole cohort
-steps through one configuration memo on top of it, because reactive
-adversaries hold the cohort in a handful of configurations, while a random
-schedule keeps bringing new ones and the memo would only add lookups.  A
-strategy that exposes its `state` is stepped only until the run closes
-its lasso; the rest of the run is tiled from the loop.
+`run_states` has one loop over that table: every round, every robot
+steps through it, under the schedule's mask or the one a reactive
+strategy chooses.  A strategy that exposes its `state` is stepped only
+until the run closes its lasso; the rest of the run is tiled from the
+loop.
 
 Traces are stored columnar (one numpy array per field) with the canonical
 per-round robot state being the post-Compute one; the line-delimited file
@@ -342,23 +340,23 @@ class RunView:
 class _LiveView(RunView):
     """The RunView `run_states` hands a strategy.
 
-    `pos` and `codes` are what the run keeps for the current
-    configuration, shared by every round that reaches it (so a strategy
-    that mutated them would corrupt the run); the variables are decoded
-    from the robots' local-state codes when read, so a strategy that reads
-    only positions pays nothing for them.
+    `pos` and `codes` are the run's own lists for the current
+    configuration (so a strategy that mutated them would corrupt the
+    run); the variables are decoded from the robots' local-state codes
+    when read, so a strategy that reads only positions pays nothing for
+    them.
     """
 
     def __init__(self, n: int, table: _LocalTable):
         self.n, self.full_mask, self.chir_cw = n, (1 << n) - 1, table.chir_cw
         self._table = table
         self.pos: list[int] = []
-        self.codes: tuple[int, ...] = ()
+        self.codes: list[int] = []
 
     @property
     def variables(self) -> tuple:
         # The run's table interns each robot's variables to one code.
-        return self.codes
+        return tuple(self.codes)
 
     def _field(self, f: int) -> list:
         states, shift = self._table.locals, self._table.shift
@@ -413,19 +411,8 @@ def run_states(
 
     Exactly one of `schedule` and `strategy` must be given; a strategy is
     consulted every round with the live state view and returns the
-    bitmask of edges present that round.  Both step the robots through
-    the run's `_LocalTable`, in two loops:
-
-    - under a schedule (`_run_schedule`) each robot steps through the
-      table every round.  A random schedule keeps bringing new
-      configurations (84k-90k distinct ones in 160k rounds of an n=4
-      trio), so there a configuration memo makes a round take about three
-      times as long;
-    - under a strategy (`_run_strategy`) the whole cohort steps through
-      one configuration memo.  Reactive adversaries keep the cohort in a
-      small part of the game (a witness is a lasso, the window adversary
-      holds it in three nodes), so such a run visits a handful of
-      configurations and computes each successor once.
+    bitmask of edges present that round.  Either way each robot steps
+    through the run's `_LocalTable` every round, in one loop (`_run`).
 
     A strategy may also offer a read-only `state`: a hashable value such
     that `(strategy.state, configuration)` before a round decides every
@@ -450,12 +437,8 @@ def run_states(
         table.code((r, s.direction is Direction.RIGHT, s.i, s.nrpea, int(s.hmpea)))
         for r, s in enumerate(states)
     ]
-    if strategy is None:
-        masks = schedule.masks(rounds)
-        edges = np.array(masks, dtype=np.int64)
-        pos_col, code_col, final = _run_schedule(table, pos, codes, masks, n)
-    else:
-        edges, pos_col, code_col, final = _run_strategy(table, pos, codes, strategy, rounds, n)
+    masks = schedule.masks(rounds) if strategy is None else None
+    edges, pos_col, code_col, final_pos = _run(table, pos, codes, n, rounds, masks, strategy)
 
     meta = {
         "n": n,
@@ -478,7 +461,6 @@ def run_states(
     }
     if meta_extra:
         meta.update(meta_extra)
-    final_pos = np.array(final, dtype=np.int16)
     # On a ring of n >= 3 nodes a robot moved exactly when its node changed.
     moved = np.empty(pos_col.shape, dtype=bool)
     np.not_equal(pos_col[1:], pos_col[:-1], out=moved[:-1])
@@ -489,36 +471,49 @@ def run_states(
     )
 
 
-def _cohort_step(
-    table: _LocalTable, pos: Sequence[int], codes: Sequence[int], mask: int, n: int
-) -> tuple[list[int], list[int]]:
-    """The robots' positions and codes after one round under `mask`."""
-    ports = _ports(mask, n)
-    new_pos, new_codes = [], []
-    for p, code in zip(pos, codes):
-        code, step = table.after(code, pos.count(p), ports >> p & 3)
-        new_pos.append((p + step) % n)
-        new_codes.append(code)
-    return new_pos, new_codes
+def _run(
+    table: _LocalTable, pos: list[int], codes: list[int], n: int, rounds: int,
+    masks: Sequence[int] | None, strategy,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The edge masks and the (rounds, k) `pos` and code rows of a run, and
+    its final positions.
 
-
-def _run_schedule(
-    table: _LocalTable, pos: list[int], codes: list[int], masks: Sequence[int], n: int
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The (rounds, k) `pos` and code rows of a run under `masks`, and the
-    final positions.  Each robot steps through `table` every round."""
+    Each robot steps through `table` every round, under `masks[t]` or
+    under the mask `strategy` chooses.  For a strategy with a `state` (see
+    `run_states`) the loop stops at the first round t whose key
+    `(strategy.state, *pos, *codes)` was met before, at round t1, and the
+    recorded rounds [t1, t) are tiled up to `rounds`.
+    """
     k = len(pos)
     memo, fill, n1 = table.next, table.fill, n - 1
     # ring[p + step] is the node that `step` leads to from node p.
     ring = [*range(n), 0, n1]
+    choose = first = None
+    if strategy is not None:
+        choose, view, masks = strategy.choose_mask, _LiveView(n, table), []
+        # The first round of each (state, *pos, *codes) key.
+        if hasattr(strategy, "state"):
+            first = {}
+    # t1 < t once the run has closed its lasso: round t repeats round t1.
+    t1 = rounds
     rec_pos: list[int] = []
     rec_codes: list[int] = []
     pos_chunks: list[np.ndarray] = []
     code_chunks: list[np.ndarray] = []
     # The record lists are emptied into numpy every `_CHUNK_ROUNDS` rounds,
     # so a long run never holds a whole trace as Python lists.
-    for start in range(0, len(masks), _CHUNK_ROUNDS):
-        for mask in masks[start : start + _CHUNK_ROUNDS]:
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
+            if choose is None:
+                mask = masks[t]
+            else:
+                if first is not None:
+                    t1 = first.setdefault((strategy.state, *pos, *codes), t)
+                    if t1 < t:
+                        break
+                view.pos, view.codes = pos, codes
+                mask = choose(t, view)
+                masks.append(mask)
             rec_pos += pos
             ports = mask << 1 | mask >> n1 & 1  # _ports(mask, n), inlined
             new_pos, new_codes = [], []
@@ -537,88 +532,19 @@ def _run_schedule(
         code_chunks.append(np.array(rec_codes, dtype=np.int64))
         rec_pos.clear()
         rec_codes.clear()
-    pos_rows, code_rows = (np.concatenate(c).reshape(-1, k) for c in (pos_chunks, code_chunks))
-    return pos_rows, code_rows, pos
-
-
-def _run_strategy(
-    table: _LocalTable, pos: list[int], codes: list[int], strategy, rounds: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The masks `strategy` chooses, the (rounds, k) `pos` and code rows of
-    the run, and the final positions.
-
-    Each configuration `(*pos, *codes)` is interned to an id, with one
-    `pos` list and one `codes` tuple kept per id for the strategy's view.
-    The robots of a configuration read only the edges in `reach[id]`, so
-    `after` maps `id << n | mask & reach[id]` to the next id, and a miss
-    steps the robots through `_cohort_step`.  Each round records one id
-    and one mask; the rows are gathered from the ids at the end.
-
-    For a strategy with a `state` (see `run_states`) the loop stops at the
-    first round t whose `(strategy.state, id)` key was met before, at
-    round t1, and the recorded rounds [t1, t) are tiled up to `rounds`.
-    """
-    ids: dict[tuple, int] = {}
-    conf_pos: list[list[int]] = []
-    conf_codes: list[tuple[int, ...]] = []
-    reach: list[int] = []
-    after: dict[int, int] = {}
-
-    def intern(pos: list[int], codes: Sequence[int]) -> int:
-        key = (*pos, *codes)
-        cid = ids.get(key)
-        if cid is None:
-            cid = ids[key] = len(conf_pos)
-            conf_pos.append(pos)
-            conf_codes.append(tuple(codes))
-            # Node p reads its clockwise edge p and counter-clockwise edge p - 1.
-            reach.append(_mask_of(e for p in pos for e in (p, (p - 1) % n)))
-        return cid
-
-    view = _LiveView(n, table)
-    choose = strategy.choose_mask
-    # The first round of each (state, id) key, for a strategy with a state.
-    first: dict[tuple, int] | None = {} if hasattr(strategy, "state") else None
-    # The round the lasso's loop starts at; `rounds` while no loop is found.
-    t1 = rounds
-    cid = intern(pos, codes)
-    rec_ids: list[int] = []
-    rec_edges: list[int] = []
-    id_chunks: list[np.ndarray] = []
-    edge_chunks: list[np.ndarray] = []
-    for start in range(0, rounds, _CHUNK_ROUNDS):
-        for t in range(start, min(start + _CHUNK_ROUNDS, rounds)):
-            if first is not None:
-                t1 = first.setdefault((strategy.state, cid), t)
-                if t1 < t:
-                    break
-            view.pos, view.codes = conf_pos[cid], conf_codes[cid]
-            mask = choose(t, view)
-            rec_ids.append(cid)
-            rec_edges.append(mask)
-            seen = mask & reach[cid]
-            key = cid << n | seen
-            try:
-                cid = after[key]
-            except KeyError:
-                stepped = _cohort_step(table, conf_pos[cid], conf_codes[cid], seen, n)
-                cid = after[key] = intern(*stepped)
-        id_chunks.append(np.array(rec_ids, dtype=np.intp))
-        edge_chunks.append(np.array(rec_edges, dtype=np.int64))
-        rec_ids.clear()
-        rec_edges.clear()
         if t1 < t:
             break
-    id_col = np.concatenate([*id_chunks, [cid]])
-    edges = np.concatenate(edge_chunks)
-    if len(edges) < rounds:
-        # The lasso closed at round t: rounds t1..t-1 repeat from there on.
+    pos_rows, code_rows = (np.concatenate(c).reshape(-1, k) for c in (pos_chunks, code_chunks))
+    edges = np.array(masks, dtype=np.int64)
+    final = np.array(pos, dtype=np.int16)
+    if t1 < t:
+        # The lasso closed at round t: rounds t1..t-1 repeat from there on,
+        # and the configuration at `rounds` is the one at row rows[rounds].
         rows = np.arange(rounds + 1)
         rows[t:] = t1 + (rows[t:] - t1) % (t - t1)
-        id_col, edges = id_col.take(rows), edges.take(rows[:-1])
-    pos_rows = np.array(conf_pos, dtype=np.int16).take(id_col[:-1], axis=0)
-    code_rows = np.array(conf_codes, dtype=np.int64).take(id_col[1:], axis=0)
-    return edges, pos_rows, code_rows, conf_pos[id_col[-1]]
+        final = pos_rows[rows[rounds]]
+        pos_rows, code_rows, edges = (a.take(rows[:-1], axis=0) for a in (pos_rows, code_rows, edges))
+    return edges, pos_rows, code_rows, final
 
 
 def _joined(chunks: Sequence[list[np.ndarray]], k: int) -> dict[str, np.ndarray]:

@@ -552,7 +552,78 @@ class TestTraceView:
                     assert view.together[t, r] == mates
 
 
+def reference_coverage(trace: Trace, suffix_start: int, window: int | None) -> analysis.CoverageReport:
+    """`analysis.coverage` as a scan of the position array once per node."""
+    positions = trace.config_positions()[suffix_start:]
+    span = positions.shape[0] - 1
+    node_max_gap, node_visits, node_visit_rounds = {}, {}, {}
+    worst_gap = 0
+    starved = None
+    for v in range(trace.n):
+        ts = np.flatnonzero((positions == v).any(axis=1))
+        node_visits[v] = int(ts.size)
+        node_visit_rounds[v] = ts + suffix_start
+        if ts.size == 0:
+            node_max_gap[v] = None
+            if starved is None:
+                starved = (v, suffix_start)
+            continue
+        lead = int(ts[0])
+        trail = int(span - ts[-1])
+        inner = int(np.diff(ts).max()) if ts.size > 1 else 0
+        gap = max(lead + 1, trail + 1, inner)
+        node_max_gap[v] = gap
+        worst_gap = max(worst_gap, gap)
+        if window is not None and gap > window and starved is None:
+            if inner >= max(lead + 1, trail + 1):
+                at = int(ts[np.argmax(np.diff(ts))]) + suffix_start
+            elif lead + 1 >= trail + 1:
+                at = suffix_start
+            else:
+                at = int(ts[-1]) + suffix_start
+            starved = (v, at)
+    covered = starved is None
+    return analysis.CoverageReport(
+        suffix_start=suffix_start,
+        window=window,
+        node_max_gap=node_max_gap,
+        node_visits=node_visits,
+        node_visit_rounds=node_visit_rounds,
+        covered=covered,
+        max_gap=None if any(g is None for g in node_max_gap.values()) else worst_gap,
+        starved_node=None if covered else starved[0],
+        starved_since=None if covered else starved[1],
+    )
+
+
 class TestCoverage:
+    def test_matches_per_node_scan(self):
+        # Fuzzed runs, and random position rows on rings up to n = 63, whose
+        # top node is the int64 bitmask's last bit.
+        rng = random.Random(23)
+        traces = [fuzzed_trace(case) for case in range(60)]
+        for _ in range(30):
+            n, k, h = rng.choice((3, 9, 40, 63)), rng.randint(1, 5), rng.randint(1, 300)
+            hot = rng.sample(range(n), min(n, rng.randint(1, 6)))
+            traces.append(positions_trace(n, [
+                [rng.choice(hot) if rng.random() < 0.8 else rng.randrange(n) for _ in range(k)]
+                for _ in range(h + 1)
+            ]))
+        for case, trace in enumerate(traces):
+            for _ in range(4):
+                start = rng.randrange(trace.rounds)
+                span = trace.rounds - start
+                window = rng.choice((None, rng.randint(1, span), span))
+                got = analysis.coverage(trace, start, window)
+                want = reference_coverage(trace, start, window)
+                for name, value in vars(want).items():
+                    if name == "node_visit_rounds":
+                        assert value.keys() == got.node_visit_rounds.keys(), case
+                        for node, rounds in value.items():
+                            assert np.array_equal(got.node_visit_rounds[node], rounds), (case, node)
+                    else:
+                        assert getattr(got, name) == value, (case, name)
+
     def test_static_march_covered_within_ring_size(self):
         states = spread_robots(5, [0, 1, 2])
         trace = run_states(5, "pef3", states, 200, schedule=StaticSchedule(5))

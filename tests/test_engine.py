@@ -224,12 +224,10 @@ def test_reactive_view_shows_reference_state():
 
 
 @pytest.mark.parametrize("revisit", [True, False], ids=["state_policy", "fresh_masks"])
-def test_reactive_memo_matches_reference_step(revisit):
-    # A reactive run steps its cohort through one configuration memo.  A
-    # state policy closes a lasso and then replays it from the memo; fresh
-    # masks bring configurations back under other masks, so a memo key
-    # that drops edges a robot reads returns the wrong successor.  Every
-    # k, algorithm and mutation case; the unmutated k = 1 runs outlast a
+def test_reactive_run_matches_reference_step(revisit):
+    # A state policy brings the run back to its configurations with the
+    # same mask; fresh masks bring them back under other masks.  Every k,
+    # algorithm and mutation case; the unmutated k = 1 runs outlast a
     # record chunk.
     rng = random.Random(31)
     for k in range(1, 6):
@@ -249,6 +247,35 @@ def test_reactive_memo_matches_reference_step(revisit):
                 assert tuple(trace.final_pos) == final
                 if revisit:
                     assert len(strategy.policy) < rounds  # the run came back
+
+
+class ScheduleReplay:
+    """Only `choose_mask`: returns round t's mask of a schedule."""
+
+    def __init__(self, masks):
+        self.masks = masks
+
+    def choose_mask(self, t, view):
+        return self.masks[t]
+
+
+def test_schedule_replayed_as_strategy_matches_schedule_run():
+    # The masks a schedule gives, chosen round by round by a strategy, make
+    # the same run: the two paths through `run_states` share one loop.
+    rng = random.Random(73)
+    for case in range(4 * len(MUTATION_CASES)):
+        mutations = MUTATION_CASES[case % len(MUTATION_CASES)]
+        algo = ("pef3", "pef2")[case // len(MUTATION_CASES) % 2]
+        n, k = rng.randint(3, 8), rng.randint(1, 5)
+        states = fuzz_initial(n, list(range(k)), rng)
+        rounds = rng.choice((1, rng.randint(2, 300), rng.randint(4100, 9000)))
+        sched = RecurrentRandomSchedule(n, rng.random(), rng.randint(1, 6), rng.randint(0, 500))
+        want = run_states(n, algo, states, rounds, schedule=sched, mutations=mutations)
+        strategy = ScheduleReplay(sched.masks(rounds))
+        trace = run_states(n, algo, states, rounds, strategy=strategy, mutations=mutations)
+        for name in TRACE_COLUMNS:
+            assert np.array_equal(getattr(trace, name), getattr(want, name)), (case, name)
+        assert trace.meta == want.meta
 
 
 class AskedEveryRound:

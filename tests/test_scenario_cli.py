@@ -61,6 +61,10 @@ BAD_COMMAND_LINES = {
         "state_budget must be >= 1, got 0",
     ("analyze", "{trace}", "--window", "0"): "window must be >= 1, got 0",
     ("analyze", "{trace}", "--window", "-1"): "window must be >= 1, got -1",
+    ("simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--batch", "0"):
+        "--batch must be >= 1, got 0",
+    ("simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--batch", "-3"):
+        "--batch must be >= 1, got -3",
 }
 
 
@@ -425,6 +429,17 @@ class TestCli:
         out = tmp_path / "t.jsonl"
         assert cli.main(["simulate", "--scenario", str(scen), "--out", str(out)]) in (0, 1)
         assert read_trace_file(str(out)).meta["seed"] == 0
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0x10"])
+    def test_non_integer_env_seed_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RINGSWEEP_SEED", value)
+        out = tmp_path / "t.jsonl"
+        argv = ["simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"RINGSWEEP_SEED must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["search", "--n", "4", "--robots", "0,1"]) == 2
+        assert "RINGSWEEP_SEED" in capsys.readouterr().err
 
     def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RINGSWEEP_SEED", "77")
