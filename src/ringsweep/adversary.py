@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import IO, Sequence
 
-from .directions import Chirality, Direction, to_global, GlobalDirection
+from .directions import Chirality, Direction
 from .engine import MAX_N, RunView, Trace, _LocalTable, _checked, _dumps, _mask_of, _ports
 from .engine import _value_checks, check_cohort, run_states
 from .robot_core import NO_MUTATIONS, RobotState
@@ -206,52 +207,113 @@ class SearchResult:
     witness: Witness | None = None
 
 
-class _GameContext:
+@lru_cache(maxsize=None)
+def _rotations(n: int) -> tuple[tuple[int, ...], ...]:
+    """`_rotations(n)[r][m]`: the node or edge mask m of a ring of n turned
+    r nodes clockwise."""
+    full = (1 << n) - 1
+    return tuple(tuple((m << r | m >> (n - r)) & full for m in range(1 << n)) for r in range(n))
+
+
+class _ConfigurationGraph:
+    """The game's configurations, one int each, and the adversary's moves
+    between them, filled as the search reaches them.
+
+    A configuration is the robots' positions, rotated so that robot 0
+    stands on node 0, and each robot's `_LocalTable` code; its id (`cid`)
+    is its index in `configs`.  The codes start normalized as in
+    `state_key` (`i` in 1..ell, `nrpea` capped at k+1), and the unmutated
+    rule keeps them so.  `choice_lists[cid]` is its list of removal
+    choices, one list per position tuple.  Entry i of `successors[cid]`,
+    None until `fill(cid, i)` computes it, is the move under choice i:
+    the child's `cid << n`, the mask of the robots' new nodes in the
+    parent's frame, the rotation r that turns the parent's frame into the
+    child's, and `_rotations(n)[r]`.  A game state is `cid << n | visited`, with the
+    visited mask in the configuration's frame, so a search step from one
+    is a list index, a row lookup and one probe of the state's colour.
+    """
+
     def __init__(self, n: int, algo: str, robots: Sequence[RobotState], max_absent: int):
         self.n = n
-        self.table = _LocalTable(algo, robots, NO_MUTATIONS)
-        self.ells = [r.ell for r in robots]
         self.full = (1 << n) - 1
         self.max_absent = max_absent
+        self.table = _LocalTable(algo, robots, NO_MUTATIONS)
+        self.rotl = _rotations(n)
+        self.configs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.choice_lists: list[list[int]] = []
+        self.successors: list[list] = []
+        self._cids: dict[tuple, int] = {}
+        self._choice_cache: dict[tuple[int, ...], list[int]] = {}
 
-    def start_state(self, robots: Sequence[RobotState]) -> tuple:
-        pos = [r.position for r in robots]
-        gdir = [to_global(r.direction, r.chirality) is GlobalDirection.CLOCKWISE for r in robots]
-        idx = [r.i for r in robots]
-        nr = [r.nrpea for r in robots]
-        hm = [1 if r.hmpea else 0 for r in robots]
-        key, _ = state_key(self.n, pos, gdir, idx, nr, hm, _mask_of(pos), self.ells)
-        return key
+    def start(self, robots: Sequence[RobotState]) -> tuple[int, int]:
+        """The start's game state and the rotation from the ring to its frame."""
+        cap = len(robots) + 1
+        codes = tuple(
+            self.table.code((r, s.direction is Direction.RIGHT, normalize_index(s.i, s.ell),
+                             min(s.nrpea, cap), 1 if s.hmpea else 0))
+            for r, s in enumerate(robots)
+        )
+        cid, rot = self._intern([s.position for s in robots], codes)
+        return cid << self.n | _mask_of(self.configs[cid][0]), rot
 
-    def choices(self, key: tuple) -> list[int]:
-        """Absent-edge masks, largest removal sets first, then lexicographic."""
-        pos = key[0]
-        incident = sorted({p for q in pos for p in (q, (q - 1) % self.n)})
-        out = []
-        top = min(self.max_absent, len(incident))
-        for size in range(top, -1, -1):
-            out += map(_mask_of, combinations(incident, size))
+    def _intern(self, pos: list[int], codes: tuple[int, ...]) -> tuple[int, int]:
+        """(cid, rotation) of the configuration with positions `pos` in some frame."""
+        n = self.n
+        rot = -pos[0] % n
+        rpos = tuple([(p + rot) % n for p in pos])
+        key = (rpos, codes)
+        cid = self._cids.get(key)
+        if cid is None:
+            cid = self._cids[key] = len(self.configs)
+            self.configs.append(key)
+            choices = self._choices(rpos)
+            self.choice_lists.append(choices)
+            self.successors.append([None] * len(choices))
+        return cid, rot
+
+    def _choices(self, rpos: tuple[int, ...]) -> list[int]:
+        """Absent-edge masks, largest removal sets first, then lexicographic,
+        one list per position tuple."""
+        out = self._choice_cache.get(rpos)
+        if out is None:
+            n = self.n
+            incident = sorted({p for q in rpos for p in (q, (q - 1) % n)})
+            out = self._choice_cache[rpos] = []
+            for size in range(min(self.max_absent, len(incident)), -1, -1):
+                out += map(_mask_of, combinations(incident, size))
         return out
 
-    def transition(self, key: tuple, absent_mask: int) -> tuple:
-        """Apply one round from the canonical representative configuration."""
-        rpos, gd, idx, nr, hm, vis = key
-        n, table = self.n, self.table
-        ports = _ports(self.full & ~absent_mask, n)
-        new_pos, gdir, idx_l, nr_l, hm_l = [], [], [], [], []
-        for r, p in enumerate(rpos):
-            cw_frame = table.chir_cw[r]
-            code = table.code((r, gd[r] == cw_frame, idx[r], nr[r], hm[r]))
-            code, step = table.after(code, rpos.count(p), ports >> p & 3)
-            _, right, i, nrpea, hmpea = table.local(code)
-            new_pos.append((p + step) % n)
-            gdir.append(right == cw_frame)
-            idx_l.append(i)
-            nr_l.append(nrpea)
-            hm_l.append(hmpea)
-        new_vis = vis | _mask_of(new_pos)
-        child, _ = state_key(n, new_pos, gdir, idx_l, nr_l, hm_l, new_vis, self.ells)
-        return child
+    def fill(self, cid: int, i: int) -> tuple[int, int, int, tuple[int, ...]]:
+        """Successor `i` of `cid`, computed and stored."""
+        rpos, codes = self.configs[cid]
+        n, memo, compute = self.n, self.table.next, self.table.fill
+        ports = _ports(self.full & ~self.choice_lists[cid][i], n)
+        new_pos, new_codes, moved = [], [], 0
+        for p, code in zip(rpos, codes):
+            # _LocalTable.after, inlined.
+            key = code | rpos.count(p) << 2 | ports >> p & 3
+            code, step = memo.get(key) or compute(key)
+            p = (p + step) % n
+            new_pos.append(p)
+            new_codes.append(code)
+            moved |= 1 << p
+        child, rot = self._intern(new_pos, tuple(new_codes))
+        out = self.successors[cid][i] = (child << n, moved, rot, self.rotl[rot])
+        return out
+
+    def key_str(self, state: int) -> str:
+        """The witness policy key (`_key_str` of `state_key`) of a game state."""
+        rpos, codes = self.configs[state >> self.n]
+        locals_ = [self.table.local(code) for code in codes]
+        chir_cw = self.table.chir_cw
+        return _key_str((
+            rpos,
+            tuple(right == chir_cw[r] for r, right, _, _, _ in locals_),
+            tuple(loc[2] for loc in locals_),
+            tuple(loc[3] for loc in locals_),
+            tuple(bool(loc[4]) for loc in locals_),
+            state & self.full,
+        ))
 
 
 def game_search(
@@ -271,7 +333,8 @@ def game_search(
     ConfinableForever and yields a replayable policy; exhausting the
     reachable space proves NotConfinable for this choice set; exceeding
     `state_budget` states is reported as Inconclusive, never silently
-    truncated.
+    truncated.  Each pair is one int, `cid << n | visited`, over a
+    `_ConfigurationGraph`.
     """
     if n > 6 or len(robots) > 3:
         raise ValueError("game search is desk-scale: need n <= 6 and <= 3 robots")
@@ -280,81 +343,93 @@ def game_search(
         raise ValueError(f"max_absent must be in 0..{n}")
     if state_budget < 1:
         raise ValueError(f"state_budget must be >= 1, got {state_budget}")
-    ctx = _GameContext(n, algo, robots, max_absent)
-    full_visited = ctx.full
-    start = ctx.start_state(robots)
-    if start[5] == full_visited:
+    graph = _ConfigurationGraph(n, algo, robots, max_absent)
+    full, successors, fill = graph.full, graph.successors, graph.fill
+    start, start_rot = graph.start(robots)
+    if start & full == full:
         return SearchResult(VERDICT_NOT_CONFINABLE, 0, state_budget, max_absent)
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[tuple, int] = {start: GRAY}
-    # Each frame: [state, choice list, index of the choice being explored].
-    stack: list[list] = [[start, ctx.choices(start), -1]]
+    # True while a state is on the stack (grey), False once done (black).
+    on_stack = {start: True}
+    # The frames below the top one: (state, visited, successors, index of
+    # the successor after the one taken).
+    stack: list[tuple[int, int, list, int]] = []
+    state, visited, succ, i = start, start & full, successors[start >> n], 0
     explored = 1
-    cycle_entry: tuple | None = None
-
-    while stack:
-        frame = stack[-1]
-        frame[2] += 1
-        if frame[2] >= len(frame[1]):
-            color[frame[0]] = BLACK
-            stack.pop()
+    while True:
+        if i == len(succ):
+            on_stack[state] = False
+            if not stack:
+                return SearchResult(VERDICT_NOT_CONFINABLE, explored, state_budget, max_absent)
+            state, visited, succ, i = stack.pop()
             continue
-        child = ctx.transition(frame[0], frame[1][frame[2]])
-        if child[5] == full_visited:
+        out = succ[i]
+        if out is None:
+            out = fill(state >> n, i)
+        child_id, moved, _, row = out
+        i += 1
+        child_visited = row[visited | moved]
+        if child_visited == full:
             continue  # all nodes visited: this play is lost for the adversary
-        st = color.get(child, WHITE)
-        if st == GRAY:
-            cycle_entry = child
+        child = child_id | child_visited
+        grey = on_stack.get(child)
+        if grey is None:
+            if explored >= state_budget:
+                return SearchResult(VERDICT_INCONCLUSIVE, explored, state_budget, max_absent)
+            on_stack[child] = True
+            explored += 1
+            stack.append((state, visited, succ, i))
+            state, visited, succ, i = child, child_visited, successors[child_id >> n], 0
+        elif grey:
+            stack.append((state, visited, succ, i))
             break
-        if st == BLACK:
-            continue
-        if explored >= state_budget:
-            return SearchResult(VERDICT_INCONCLUSIVE, explored, state_budget, max_absent)
-        color[child] = GRAY
-        explored += 1
-        stack.append([child, ctx.choices(child), -1])
-
-    if cycle_entry is None:
-        return SearchResult(VERDICT_NOT_CONFINABLE, explored, state_budget, max_absent)
 
     policy: dict[str, tuple[int, ...]] = {}
-    for state, choices, idx in stack:
-        absent_mask = choices[idx]
-        policy[_key_str(state)] = tuple(e for e in range(n) if absent_mask >> e & 1)
-    entry_index = next(i for i, f in enumerate(stack) if f[0] == cycle_entry)
-    path_length = entry_index
-    cycle_length = len(stack) - entry_index
+    frames = []
+    for state, _, succ, i in stack:
+        cid = state >> n
+        absent = graph.choice_lists[cid][i - 1]
+        policy[graph.key_str(state)] = tuple(e for e in range(n) if absent >> e & 1)
+        frames.append((_mask_of(graph.configs[cid][0]), absent, succ[i - 1][2]))
+    entry = next(j for j, frame in enumerate(stack) if frame[0] == child)
     witness = Witness(
         n=n,
         algo=algo,
         max_absent=max_absent,
         robots=list(robots),
         policy=policy,
-        path_length=path_length,
-        cycle_length=cycle_length,
+        path_length=entry,
+        cycle_length=len(stack) - entry,
     )
-    _annotate_witness(witness)
+    _annotate_witness(witness, frames, start_rot)
     return SearchResult(VERDICT_CONFINABLE, explored, state_budget, max_absent, witness)
 
 
-def _annotate_witness(witness: Witness) -> None:
-    """Replay the witness once to record starved nodes and the cycle's
-    permanently absent edges (empty or a single edge keeps the play
-    connected-over-time)."""
-    rounds = witness.path_length + 2 * max(witness.cycle_length, 1)
-    trace = replay_witness(witness, rounds)
-    full = (1 << witness.n) - 1
-    lo = witness.path_length
-    hi = lo + witness.cycle_length
-    absent_always = full
-    for t in range(lo, hi):
-        absent_always &= full & ~int(trace.edges[t])
-    witness.cycle_always_absent = tuple(
-        e for e in range(witness.n) if absent_always >> e & 1
-    )
-    seen = set(int(p) for p in trace.config_positions().flat)
-    witness.starved_nodes = tuple(sorted(set(range(witness.n)) - seen))
+def _annotate_witness(witness: Witness, frames: list[tuple[int, int, int]], rot: int) -> None:
+    """Record the witness's starved nodes and its cycle's permanently
+    absent edges (empty or a single edge keeps the play
+    connected-over-time), as its replay would show them over `path + 2 *
+    cycle` rounds.
+
+    `frames` holds, per stack frame, its occupied nodes and its choice of
+    absent edges in its own frame, and the rotation to its successor's;
+    `rot` turns the ring into the start's frame.  Round t plays frame t,
+    and from the cycle's end on the cycle again, each in the ring's frame
+    turned by the rotations so far.
+    """
+    n, lo, cycle = witness.n, witness.path_length, max(witness.cycle_length, 1)
+    full, rotl = (1 << n) - 1, _rotations(n)
+    rounds = lo + 2 * cycle
+    seen, absent_always = 0, full
+    for t in range(rounds + 1):
+        nodes, absent, step = frames[t if t < len(frames) else lo + (t - lo) % cycle]
+        back = rotl[-rot % n]
+        seen |= back[nodes]
+        if lo <= t < lo + cycle:
+            absent_always &= back[absent]
+        rot = (rot + step) % n
+    witness.cycle_always_absent = tuple(e for e in range(n) if absent_always >> e & 1)
+    witness.starved_nodes = tuple(v for v in range(n) if not seen >> v & 1)
 
 
 class WitnessReplayError(ValueError):

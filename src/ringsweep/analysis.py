@@ -184,19 +184,18 @@ def _true_runs(mask: np.ndarray) -> np.ndarray:
     return runs
 
 
-def detect_towers(trace: Trace) -> TowerTable:
-    """All maximal towers of the trace, classified long/short-lived.
+def _tower_runs(v: _TraceView) -> tuple[np.ndarray, ...] | None:
+    """The co-location runs that are maximal towers, or None when the
+    trace has no rounds or fewer than two robots.
 
-    Maximality is two-sided: the interval cannot be extended for the
-    member set, and the member set cannot be extended over the same
-    interval.  Co-movement inside the interval is implied by co-location
-    at consecutive times on a ring with n >= 3 (a round moves a robot by
-    at most one node), so detection reduces to co-location runs.
+    Returns `s0` and `m` (each member set's lowest column and bitmask, one
+    entry per set of two or more columns) and, per tower, `which` (its
+    member set), `a` and `b` (its first and last configuration times).
+    Reads only the view's co-location masks.
     """
-    v = _view_of(trace)
     sets = [cols for size in range(2, v.k + 1) for cols in combinations(range(v.k), size)]
     if not v.h or not sets:
-        return TowerTable(v, *[np.empty(0, dtype=np.int64)] * 5)
+        return None
     # One row per member set: s0's co-location masks over configuration
     # times, and where they include the whole set.
     s0 = np.array([cols[0] for cols in sets])
@@ -220,7 +219,30 @@ def detect_towers(trace: Trace) -> TowerTable:
     lo, hi = which * width + a, which * width + b
     whole = np.bitwise_and.reduceat(flat, np.stack([lo, hi], axis=1).ravel())[0::2] & flat[hi]
     keep = whole == m[which]
-    which, a, b = which[keep], a[keep], b[keep]
+    return s0, m, which[keep], a[keep], b[keep]
+
+
+def count_towers(trace: Trace) -> int:
+    """`len(detect_towers(trace))`, from the co-location runs alone: no
+    edge activations, first activations or table are built."""
+    runs = _tower_runs(_view_of(trace))
+    return 0 if runs is None else len(runs[2])
+
+
+def detect_towers(trace: Trace) -> TowerTable:
+    """All maximal towers of the trace, classified long/short-lived.
+
+    Maximality is two-sided: the interval cannot be extended for the
+    member set, and the member set cannot be extended over the same
+    interval.  Co-movement inside the interval is implied by co-location
+    at consecutive times on a ring with n >= 3 (a round moves a robot by
+    at most one node), so detection reduces to co-location runs.
+    """
+    v = _view_of(trace)
+    runs = _tower_runs(v)
+    if runs is None:
+        return TowerTable(v, *[np.empty(0, dtype=np.int64)] * 5)
+    s0, m, which, a, b = runs
     # s0 stands on the tower's node, so its activations are the tower's;
     # v.h stands for none.  Rounds a..b-1 are inside the interval, and for
     # a closed tower round b is the breaking round.

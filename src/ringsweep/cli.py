@@ -105,15 +105,49 @@ def _scenario_from_args(args) -> Scenario:
     return sc
 
 
-def _simulate_one(sc: Scenario, out_path: str | None, print_prefix: str = "") -> int:
-    if sc.adversary and sc.adversary.startswith("witness:"):
-        # The witness embeds its own cohort and ring; the scenario only
-        # contributes the horizon.
-        if sc.mutations:
-            raise ScenarioError({
-                "mutations": "a witness replays the unmutated rules it was searched with",
-            })
-        witness = adv.read_witness_file(sc.adversary.split(":", 1)[1])
+# RobotState attribute of each `--robot` record field.
+_ROBOT_FIELDS = {"pos": "position", "dir": "direction", "chirality": "chirality", "i": "i",
+                 "nrpea": "nrpea", "hmpea": "hmpea"}
+
+
+def _read_replayed_witness(sc: Scenario, args) -> adv.Witness:
+    """The witness `sc.adversary` names, once the scenario and the cohort
+    flags are known not to contradict it.
+
+    The witness embeds its own cohort and ring, and replays the unmutated
+    rules it was searched with; the scenario only contributes the horizon.
+    A cohort flag that names another ring, algorithm or robot is an error
+    naming the flag, not a replay of something else.
+    """
+    if sc.mutations:
+        raise ScenarioError({
+            "mutations": "a witness replays the unmutated rules it was searched with",
+        })
+    witness = adv.read_witness_file(sc.adversary.split(":", 1)[1])
+    ids = [r.id for r in witness.robots]
+    problems = {}
+    if args.n is not None and args.n != witness.n:
+        problems["n"] = f"--n {args.n} contradicts the witness's ring of {witness.n} nodes"
+    if args.algo is not None and args.algo != witness.algo:
+        problems["algo"] = f"--algo {args.algo} contradicts the witness's algorithm {witness.algo}"
+    if args.robots is not None and parse_robot_ids(args.robots) != ids:
+        problems["robots"] = f"--robots {args.robots} contradicts the witness's robots {ids}"
+    for rec in args.robot:
+        spec = parse_robot_record(rec)
+        robot = next((r for r in witness.robots if r.id == spec.id), None)
+        if robot is None or any(
+            getattr(robot, _ROBOT_FIELDS[key]) != value for key, value in spec.overrides().items()
+        ):
+            problems["robot"] = f"--robot {rec!r} contradicts the witness's robot {spec.id}"
+    if problems:
+        raise ScenarioError(problems)
+    return witness
+
+
+def _simulate_one(
+    sc: Scenario, out_path: str | None, print_prefix: str = "", witness: adv.Witness | None = None
+) -> int:
+    if witness is not None:
         trace = adv.replay_witness(witness, sc.rounds)
     else:
         confine = sc.adversary == "confinement"
@@ -121,11 +155,10 @@ def _simulate_one(sc: Scenario, out_path: str | None, print_prefix: str = "") ->
         trace = run_scenario(sc, strategy=strategy)
     if out_path:
         write_trace_file(trace, out_path)
-    towers = analysis.detect_towers(trace)
     suffix = max(0, min(trace.rounds - 1, trace.rounds // 2))
     cov = analysis.coverage(trace, suffix)
     print(
-        f"{print_prefix}coverage[{suffix}:]: {cov.verdict()}   towers: {len(towers)}"
+        f"{print_prefix}coverage[{suffix}:]: {cov.verdict()}   towers: {analysis.count_towers(trace)}"
         + (f"   trace: {out_path}" if out_path else "")
     )
     return EXIT_OK if cov.covered else EXIT_FINDINGS
@@ -135,13 +168,18 @@ def cmd_simulate(args) -> int:
     if args.batch is not None and args.batch < 1:
         raise ValueError(f"--batch must be >= 1, got {args.batch}")
     sc = _scenario_from_args(args)
+    witness = None
+    if sc.adversary and sc.adversary.startswith("witness:"):
+        witness = _read_replayed_witness(sc, args)
     if args.batch is None:
-        return _simulate_one(sc, args.out)
+        return _simulate_one(sc, args.out, witness=witness)
     base_out = args.out or "trace"
     code = EXIT_OK
     for seed in range(sc.seed, sc.seed + args.batch):
         out = f"{base_out}.seed{seed}.jsonl"
-        code = max(code, _simulate_one(replace(sc, seed=seed), out, print_prefix=f"[seed {seed}] "))
+        code = max(code, _simulate_one(
+            replace(sc, seed=seed), out, print_prefix=f"[seed {seed}] ", witness=witness
+        ))
     return code
 
 

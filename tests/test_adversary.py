@@ -2,6 +2,7 @@
 import hashlib
 import io
 import random
+from itertools import combinations
 
 import numpy as np
 
@@ -10,7 +11,7 @@ import pytest
 from ringsweep import adversary as adv
 from ringsweep import analysis
 from ringsweep.directions import Chirality, Direction, GlobalDirection, to_global
-from ringsweep.engine import RunView, fuzz_initial, run_states
+from ringsweep.engine import RunView, _LocalTable, _mask_of, _ports, fuzz_initial, run_states
 from ringsweep.ring_model import (
     EdgeClass,
     EventualMissingSchedule,
@@ -20,7 +21,7 @@ from ringsweep.ring_model import (
     StaticSchedule,
     classify_prefix,
 )
-from ringsweep.robot_core import RobotState
+from ringsweep.robot_core import NO_MUTATIONS, RobotState
 
 CW = Chirality.RIGHT_IS_CLOCKWISE
 R = Direction.RIGHT
@@ -109,6 +110,130 @@ def policy_keys(witness, trace):
         absent = sum(1 << (e - rot) % n for e in witness.policy[key])
         assert int(trace.edges[t]) == full & ~absent, t
         yield key
+
+
+class OracleGameContext:
+    """The reference game graph: one canonical `state_key` tuple per game
+    state, every child stepped robot by robot and keyed afresh."""
+
+    def __init__(self, n, algo, robots, max_absent):
+        self.n = n
+        self.table = _LocalTable(algo, robots, NO_MUTATIONS)
+        self.ells = [r.ell for r in robots]
+        self.full = (1 << n) - 1
+        self.max_absent = max_absent
+
+    def start_state(self, robots):
+        pos = [r.position for r in robots]
+        gdir = [to_global(r.direction, r.chirality) is GlobalDirection.CLOCKWISE for r in robots]
+        idx = [r.i for r in robots]
+        nr = [r.nrpea for r in robots]
+        hm = [1 if r.hmpea else 0 for r in robots]
+        key, _ = adv.state_key(self.n, pos, gdir, idx, nr, hm, _mask_of(pos), self.ells)
+        return key
+
+    def choices(self, key):
+        """Absent-edge masks, largest removal sets first, then lexicographic."""
+        pos = key[0]
+        incident = sorted({p for q in pos for p in (q, (q - 1) % self.n)})
+        out = []
+        top = min(self.max_absent, len(incident))
+        for size in range(top, -1, -1):
+            out += map(_mask_of, combinations(incident, size))
+        return out
+
+    def transition(self, key, absent_mask):
+        """Apply one round from the canonical representative configuration."""
+        rpos, gd, idx, nr, hm, vis = key
+        n, table = self.n, self.table
+        ports = _ports(self.full & ~absent_mask, n)
+        new_pos, gdir, idx_l, nr_l, hm_l = [], [], [], [], []
+        for r, p in enumerate(rpos):
+            cw_frame = table.chir_cw[r]
+            code = table.code((r, gd[r] == cw_frame, idx[r], nr[r], hm[r]))
+            code, step = table.after(code, rpos.count(p), ports >> p & 3)
+            _, right, i, nrpea, hmpea = table.local(code)
+            new_pos.append((p + step) % n)
+            gdir.append(right == cw_frame)
+            idx_l.append(i)
+            nr_l.append(nrpea)
+            hm_l.append(hmpea)
+        new_vis = vis | _mask_of(new_pos)
+        child, _ = adv.state_key(n, new_pos, gdir, idx_l, nr_l, hm_l, new_vis, self.ells)
+        return child
+
+
+def oracle_game_search(n, robots, algo, max_absent=1, state_budget=2_000_000):
+    """The reference search: the visited-mask DFS over `OracleGameContext`,
+    annotated by `oracle_annotate_witness`."""
+    ctx = OracleGameContext(n, algo, robots, max_absent)
+    full_visited = ctx.full
+    start = ctx.start_state(robots)
+    if start[5] == full_visited:
+        return adv.SearchResult(adv.VERDICT_NOT_CONFINABLE, 0, state_budget, max_absent)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {start: GRAY}
+    stack = [[start, ctx.choices(start), -1]]
+    explored = 1
+    cycle_entry = None
+    while stack:
+        frame = stack[-1]
+        frame[2] += 1
+        if frame[2] >= len(frame[1]):
+            color[frame[0]] = BLACK
+            stack.pop()
+            continue
+        child = ctx.transition(frame[0], frame[1][frame[2]])
+        if child[5] == full_visited:
+            continue
+        st = color.get(child, WHITE)
+        if st == GRAY:
+            cycle_entry = child
+            break
+        if st == BLACK:
+            continue
+        if explored >= state_budget:
+            return adv.SearchResult(adv.VERDICT_INCONCLUSIVE, explored, state_budget, max_absent)
+        color[child] = GRAY
+        explored += 1
+        stack.append([child, ctx.choices(child), -1])
+    if cycle_entry is None:
+        return adv.SearchResult(adv.VERDICT_NOT_CONFINABLE, explored, state_budget, max_absent)
+    policy = {}
+    for state, choices, idx in stack:
+        absent_mask = choices[idx]
+        policy[adv._key_str(state)] = tuple(e for e in range(n) if absent_mask >> e & 1)
+    entry_index = next(i for i, f in enumerate(stack) if f[0] == cycle_entry)
+    witness = adv.Witness(
+        n=n, algo=algo, max_absent=max_absent, robots=list(robots), policy=policy,
+        path_length=entry_index, cycle_length=len(stack) - entry_index,
+    )
+    oracle_annotate_witness(witness)
+    return adv.SearchResult(adv.VERDICT_CONFINABLE, explored, state_budget, max_absent, witness)
+
+
+def oracle_annotate_witness(witness):
+    """Starved nodes and the cycle's permanently absent edges, read off a
+    replay of `path + 2 * max(cycle, 1)` rounds."""
+    rounds = witness.path_length + 2 * max(witness.cycle_length, 1)
+    trace = adv.replay_witness(witness, rounds)
+    full = (1 << witness.n) - 1
+    lo = witness.path_length
+    hi = lo + witness.cycle_length
+    absent_always = full
+    for t in range(lo, hi):
+        absent_always &= full & ~int(trace.edges[t])
+    witness.cycle_always_absent = tuple(e for e in range(witness.n) if absent_always >> e & 1)
+    seen = set(int(p) for p in trace.config_positions().flat)
+    witness.starved_nodes = tuple(sorted(set(range(witness.n)) - seen))
+
+
+def witness_bytes(witness):
+    if witness is None:
+        return None
+    buf = io.StringIO()
+    adv.write_witness(witness, buf)
+    return buf.getvalue()
 
 
 class TestConfinementCases:
@@ -266,9 +391,9 @@ class TestGameSearch:
 
     def test_search_exhaustive_over_choice_set(self):
         # For a NotConfinable verdict the search has explored exactly the
-        # states reachable through the declared choice set before the play
-        # is lost (all nodes visited): 11 for this trio, and as many as
-        # reachable for fuzzed trios on n = 5.
+        # states the oracle's game graph reaches through the declared choice
+        # set before the play is lost (all nodes visited): 11 for this trio,
+        # and as many as reachable for fuzzed trios on n = 5.
         trio = [
             RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True),
             RobotState.make(1, 1, L, CW, i=1, nrpea=1, hmpea=True),
@@ -279,7 +404,7 @@ class TestGameSearch:
         for n, robots, expected in cases:
             result = adv.game_search(n, robots, "pef3")
             assert result.verdict == adv.VERDICT_NOT_CONFINABLE
-            ctx = adv._GameContext(n, "pef3", robots, 1)
+            ctx = OracleGameContext(n, "pef3", robots, 1)
             start = ctx.start_state(robots)
             reachable, frontier = {start}, [start]
             while frontier:
@@ -291,6 +416,45 @@ class TestGameSearch:
                         frontier.append(child)
             assert len(reachable) == result.explored
             assert expected is None or result.explored == expected
+
+    def test_search_matches_the_oracle_on_fuzzed_starts(self):
+        # The interned search against the reference DFS and its replay-based
+        # annotation: n 3..6, k 1..3, pef2 at n = 3, max_absent 0..2 and n
+        # (for n <= 4), and state budgets 1..20 for Inconclusive.  Fuzzed
+        # starts hold out-of-range read indices and nrpea up to 2k, so the
+        # normalization at the start is exercised too.
+        rng = random.Random(13_013)
+        seen = {"n": set(), "k": set(), "max_absent": set(), "verdict": set(), "algo": set()}
+        for case in range(400):
+            n, k = rng.randint(3, 6), rng.randint(1, 3)
+            algo = "pef2" if n == 3 and rng.random() < 0.5 else "pef3"
+            max_absent = rng.choice([0, 1, 2] + ([n] if n <= 4 else []))
+            budget = rng.randint(1, 20) if rng.random() < 0.3 else 2_000_000
+            robots = fuzz_initial(n, list(range(k)), rng)
+            want = oracle_game_search(n, robots, algo, max_absent, budget)
+            got = adv.game_search(n, robots, algo, max_absent, budget)
+            assert (got.verdict, got.explored) == (want.verdict, want.explored), case
+            assert witness_bytes(got.witness) == witness_bytes(want.witness), case
+            if want.witness is not None:
+                assert got.witness.starved_nodes == want.witness.starved_nodes, case
+                assert got.witness.cycle_always_absent == want.witness.cycle_always_absent, case
+            for key, value in (("n", n), ("k", k), ("max_absent", max_absent),
+                               ("verdict", got.verdict), ("algo", algo)):
+                seen[key].add(value)
+        assert seen["n"] == {3, 4, 5, 6} and seen["k"] == {1, 2, 3}
+        assert seen["max_absent"] == {0, 1, 2, 3, 4} and seen["algo"] == {"pef2", "pef3"}
+        assert seen["verdict"] == {adv.VERDICT_CONFINABLE, adv.VERDICT_NOT_CONFINABLE,
+                                   adv.VERDICT_INCONCLUSIVE}
+
+    def test_annotation_walks_path_plus_two_cycles(self):
+        # A cycle of one frame whose successor turns the frame by two nodes:
+        # its robot stands on nodes 0, 4 and 2 of the ring at times 0, 1 and
+        # 2, as a replay of path + 2 * cycle = 2 rounds would show.  Its
+        # absent edge, 1 in its own frame, is edge 1 of the ring in round 0.
+        witness = adv.Witness(6, "pef3", 1, [], {}, path_length=0, cycle_length=1)
+        adv._annotate_witness(witness, [(0b1, 0b10, 2)], 0)
+        assert witness.starved_nodes == (1, 3, 5)
+        assert witness.cycle_always_absent == (1,)
 
     def test_witness_file_round_trip(self):
         result = adv.game_search(4, facing_pair(), "pef3")

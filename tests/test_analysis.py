@@ -520,6 +520,16 @@ class TestTowerTableOracle:
         assert "tower-break-bound" in fired["stuck"]
         assert TOWER_MONITORS <= fired["rows"]
 
+    def test_tower_count_reads_only_the_colocation_runs(self):
+        # The count `simulate` prints is the table's length, and it builds
+        # neither the edge-activation arrays nor the table.
+        for case in range(60):
+            trace = fuzzed_trace(case)
+            count = analysis.count_towers(trace)
+            built = set(vars(_view_of(trace)))
+            assert not built & {"cw", "ccw", "adjacent", "activations"}, case
+            assert count == len(analysis.detect_towers(trace)), case
+
 
 class TestTraceView:
     def test_look_phase_arrays(self):

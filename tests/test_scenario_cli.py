@@ -1,11 +1,12 @@
 """Scenario files, flag precedence, CLI contracts and exit codes."""
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from ringsweep import cli
+from ringsweep import analysis, cli
 from ringsweep.engine import read_trace_file
 from ringsweep.ring_model import INF
 from ringsweep.scenario import (
@@ -56,6 +57,18 @@ BAD_COMMAND_LINES = {
      "--rounds", "30", "--stall-cap", "-1"): "stall_cap must be >= 0, got -1",
     ("simulate", "--adversary", "witness:{witness}", "--mutations", "skip_update",
      "--rounds", "5"): "a witness replays the unmutated rules",
+    # The facing pair's witness is an n = 4 pef3 cohort of robots 0 (node 0)
+    # and 1 (node 1); a cohort flag that says otherwise is not replayed.
+    ("simulate", "--adversary", "witness:{witness}", "--n", "5", "--rounds", "5"):
+        "n: --n 5 contradicts the witness's ring of 4 nodes",
+    ("simulate", "--adversary", "witness:{witness}", "--algo", "pef2", "--rounds", "5"):
+        "algo: --algo pef2 contradicts the witness's algorithm pef3",
+    ("simulate", "--adversary", "witness:{witness}", "--robots", "0,1,2", "--rounds", "5"):
+        "robots: --robots 0,1,2 contradicts the witness's robots [0, 1]",
+    ("simulate", "--adversary", "witness:{witness}", "--robot", "id=1 pos=2", "--rounds", "5"):
+        "robot: --robot 'id=1 pos=2' contradicts the witness's robot 1",
+    ("simulate", "--adversary", "witness:{witness}", "--robot", "id=2", "--rounds", "5"):
+        "robot: --robot 'id=2' contradicts the witness's robot 2",
     ("words", "--table", "-1"): "--table MAX_ID must be >= 0, got -1",
     ("search", "--n", "4", "--robots", "0,1", "--state-budget", "0"):
         "state_budget must be >= 1, got 0",
@@ -236,6 +249,34 @@ class TestCli:
         assert code == 1  # starved coverage is the expected outcome here
         assert "Starved" in capsys.readouterr().out
         assert cli.main(["search", "--n", "7", "--robots", "0,1"]) == 2
+
+    def test_witness_replay_accepts_cohort_flags_that_agree(self, tmp_path, capsys):
+        target = tmp_path / "witness.jsonl"
+        assert cli.main(facing_pair_search(target)) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--adversary", f"witness:{target}", "--rounds", "50", "--n", "4",
+                "--algo", "pef3", "--robots", "0,1", "--robot", "id=1 pos=1 dir=L chirality=cw"]
+        assert cli.main(argv) == 1  # the pair starves node 2
+        assert "Starved" in capsys.readouterr().out
+
+    def test_printed_tower_count_is_the_tower_table_length(self, tmp_path, capsys):
+        # `simulate` counts towers without building the tower table; on
+        # fuzzed runs of both algorithms the count is the table's length.
+        rng = random.Random(31)
+        out = tmp_path / "t.jsonl"
+        counts = set()
+        for case in range(16):
+            algo = ("pef3", "pef2")[case % 2]
+            n = 3 if algo == "pef2" else rng.randint(4, 7)
+            ids = ",".join(map(str, rng.sample(range(6), 2 if algo == "pef2" else 3)))
+            argv = ["simulate", "--n", str(n), "--algo", algo, "--robots", ids,
+                    "--schedule", "recurrent", "--p", str(rng.choice((0.3, 0.5, 0.8))),
+                    "--rounds", str(rng.randint(50, 400)), "--seed", str(case), "--out", str(out)]
+            assert cli.main(argv) in (0, 1)
+            printed = int(re.search(r"towers: (\d+)", capsys.readouterr().out).group(1))
+            assert printed == len(analysis.detect_towers(read_trace_file(str(out)))), case
+            counts.add(printed)
+        assert len(counts) > 3
 
     def test_search_three_robots_not_confinable(self, capsys):
         code = cli.main(["search", "--n", "4", "--robots", "0,1,2", "--seed", "5"])
