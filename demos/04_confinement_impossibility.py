@@ -6,7 +6,7 @@ and removes exactly the boundary edge(s) a robot is about to leave by,
 re-deciding whenever someone moves.  Second, the game search makes the
 construction exhaustive: it explores every reactive removal policy (at
 most one absent edge per round, so the play stays connected-over-time)
-and either produces a replayable confining policy or proves none exists.
+and either produces a replayable confining play or proves none exists.
 """
 import random
 

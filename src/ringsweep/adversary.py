@@ -14,6 +14,11 @@ keep at most one edge permanently missing), so ConfinableForever
 witnesses stay inside the model class.  Larger budgets are available for
 experiments; the verdict then reports the cycle's always-absent edge set
 so out-of-class witnesses are recognizable.
+
+A ConfinableForever witness is the confining play itself.  The start is
+fixed and the robots are deterministic, so the play is a lasso of edge
+sets: the absent edges of each round of a path and of a cycle, in the
+ring's frame.  `replay_witness` plays the path, then the cycle forever.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from .directions import Chirality, Direction
 from .engine import MAX_N, RunView, Trace, _LocalTable, _checked, _dumps, _mask_of, _ports
 from .engine import _value_checks, check_cohort, run_states
 from .robot_core import NO_MUTATIONS, RobotState
-from .words import normalize_index, transformed_length
+from .words import normalize_index
 
 
 CONFINEMENT_ACTIVE = "active"
@@ -137,61 +142,18 @@ VERDICT_NOT_CONFINABLE = "NotConfinable"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-def state_key(
-    n: int,
-    pos: Sequence[int],
-    gdir_cw: Sequence[bool],
-    idx: Sequence[int],
-    nrpea: Sequence[int],
-    hmpea: Sequence[int],
-    visited_mask: int,
-    ells: Sequence[int],
-) -> tuple[tuple, int]:
-    """Canonical game-state key under ring rotation, plus the rotation used.
-
-    The rotation puts robot 0 on node 0, so two configurations that differ
-    by a rotation get one key.  The read index enters normalized into
-    1..ell (two indices congruent mod ell are behaviorally identical) and
-    nrpea capped at k+1 (all counts above the cohort size satisfy the
-    same comparisons).
-    """
-    rot = -pos[0] % n
-    cap = len(pos) + 1
-    vis = ((visited_mask << rot) | (visited_mask >> (n - rot))) & ((1 << n) - 1)
-    key = (
-        tuple((p + rot) % n for p in pos),
-        tuple(bool(v) for v in gdir_cw),
-        tuple(normalize_index(i, ell) for i, ell in zip(idx, ells)),
-        tuple(min(v, cap) for v in nrpea),
-        tuple(bool(v) for v in hmpea),
-        vis,
-    )
-    return key, rot
-
-
-def _key_str(key: tuple) -> str:
-    rpos, gd, idx, nr, hm, vis = key
-    return "|".join(
-        [
-            ",".join(map(str, rpos)),
-            "".join("1" if b else "0" for b in gd),
-            ",".join(map(str, idx)),
-            ",".join(map(str, nr)),
-            "".join("1" if b else "0" for b in hm),
-            str(vis),
-        ]
-    )
-
-
 @dataclass
 class Witness:
-    """A replayable confinement policy: canonical state -> absent edges."""
+    """A confining play: the absent edges of each of its `path_length +
+    cycle_length` rounds, in the ring's frame.  The robots are
+    deterministic, so from round `path_length` on the last `cycle_length`
+    rounds repeat forever."""
 
     n: int
     algo: str
     max_absent: int
     robots: list[RobotState]
-    policy: dict[str, tuple[int, ...]]
+    absent: list[tuple[int, ...]]
     path_length: int
     cycle_length: int
     cycle_always_absent: tuple[int, ...] = ()
@@ -221,10 +183,10 @@ class _ConfigurationGraph:
 
     A configuration is the robots' positions, rotated so that robot 0
     stands on node 0, and each robot's `_LocalTable` code; its id (`cid`)
-    is its index in `configs`.  The codes start normalized as in
-    `state_key` (`i` in 1..ell, `nrpea` capped at k+1), and the unmutated
-    rule keeps them so.  `choice_lists[cid]` is its list of removal
-    choices, one list per position tuple.  Entry i of `successors[cid]`,
+    is its index in `configs`.  The codes start normalized (`i` in 1..ell,
+    `nrpea` capped at k+1, as every larger count acts alike), and the
+    unmutated rule keeps them so.  `choice_lists[cid]` is its list of
+    removal choices, one list per position tuple.  Entry i of `successors[cid]`,
     None until `fill(cid, i)` computes it, is the move under choice i:
     the child's `cid << n`, the mask of the robots' new nodes in the
     parent's frame, the rotation r that turns the parent's frame into the
@@ -301,20 +263,6 @@ class _ConfigurationGraph:
         out = self.successors[cid][i] = (child << n, moved, rot, self.rotl[rot])
         return out
 
-    def key_str(self, state: int) -> str:
-        """The witness policy key (`_key_str` of `state_key`) of a game state."""
-        rpos, codes = self.configs[state >> self.n]
-        locals_ = [self.table.local(code) for code in codes]
-        chir_cw = self.table.chir_cw
-        return _key_str((
-            rpos,
-            tuple(right == chir_cw[r] for r, right, _, _, _ in locals_),
-            tuple(loc[2] for loc in locals_),
-            tuple(loc[3] for loc in locals_),
-            tuple(bool(loc[4]) for loc in locals_),
-            state & self.full,
-        ))
-
 
 def game_search(
     n: int,
@@ -330,11 +278,11 @@ def game_search(
     removal choices (subsets of edges incident to robot positions, at
     most `max_absent` at once; distant edges cannot influence any
     snapshot).  A reachable cycle whose visited set misses a node proves
-    ConfinableForever and yields a replayable policy; exhausting the
-    reachable space proves NotConfinable for this choice set; exceeding
-    `state_budget` states is reported as Inconclusive, never silently
-    truncated.  Each pair is one int, `cid << n | visited`, over a
-    `_ConfigurationGraph`.
+    ConfinableForever, and the play into it and once around it is the
+    `Witness`; exhausting the reachable space proves NotConfinable for
+    this choice set; exceeding `state_budget` states is reported as
+    Inconclusive, never silently truncated.  Each pair is one int,
+    `cid << n | visited`, over a `_ConfigurationGraph`.
     """
     if n > 6 or len(robots) > 3:
         raise ValueError("game search is desk-scale: need n <= 6 and <= 3 robots")
@@ -384,103 +332,74 @@ def game_search(
             stack.append((state, visited, succ, i))
             break
 
-    policy: dict[str, tuple[int, ...]] = {}
-    frames = []
-    for state, _, succ, i in stack:
-        cid = state >> n
-        absent = graph.choice_lists[cid][i - 1]
-        policy[graph.key_str(state)] = tuple(e for e in range(n) if absent >> e & 1)
-        frames.append((_mask_of(graph.configs[cid][0]), absent, succ[i - 1][2]))
+    # The play is the stack's choices, each turned back from its frame into
+    # the ring's by the rotations so far.  The cycle returns to its entry
+    # state with a net rotation of 0: its visited set is not full, is closed
+    # under that rotation and holds robot 0's path around the cycle, which a
+    # non-zero rotation would sweep over the whole ring.  So one pass over
+    # the stack reads the whole play, and one turn of the cycle repeats.
     entry = next(j for j, frame in enumerate(stack) if frame[0] == child)
+    rotl, rot = graph.rotl, start_rot
+    absent, always = [], full
+    for j, (state, visited, succ, i) in enumerate(stack):
+        back = rotl[-rot % n]
+        mask = back[graph.choice_lists[state >> n][i - 1]]
+        absent.append(_bits(mask, n))
+        if j >= entry:
+            always &= mask
+        rot = (rot + succ[i - 1][2]) % n
     witness = Witness(
         n=n,
         algo=algo,
         max_absent=max_absent,
         robots=list(robots),
-        policy=policy,
+        absent=absent,
         path_length=entry,
         cycle_length=len(stack) - entry,
+        cycle_always_absent=_bits(always, n),
+        # The top frame's visited mask holds every node the play visits.
+        starved_nodes=_bits(full & ~back[visited], n),
     )
-    _annotate_witness(witness, frames, start_rot)
     return SearchResult(VERDICT_CONFINABLE, explored, state_budget, max_absent, witness)
 
 
-def _annotate_witness(witness: Witness, frames: list[tuple[int, int, int]], rot: int) -> None:
-    """Record the witness's starved nodes and its cycle's permanently
-    absent edges (empty or a single edge keeps the play
-    connected-over-time), as its replay would show them over `path + 2 *
-    cycle` rounds.
-
-    `frames` holds, per stack frame, its occupied nodes and its choice of
-    absent edges in its own frame, and the rotation to its successor's;
-    `rot` turns the ring into the start's frame.  Round t plays frame t,
-    and from the cycle's end on the cycle again, each in the ring's frame
-    turned by the rotations so far.
-    """
-    n, lo, cycle = witness.n, witness.path_length, max(witness.cycle_length, 1)
-    full, rotl = (1 << n) - 1, _rotations(n)
-    rounds = lo + 2 * cycle
-    seen, absent_always = 0, full
-    for t in range(rounds + 1):
-        nodes, absent, step = frames[t if t < len(frames) else lo + (t - lo) % cycle]
-        back = rotl[-rot % n]
-        seen |= back[nodes]
-        if lo <= t < lo + cycle:
-            absent_always &= back[absent]
-        rot = (rot + step) % n
-    witness.cycle_always_absent = tuple(e for e in range(n) if absent_always >> e & 1)
-    witness.starved_nodes = tuple(v for v in range(n) if not seen >> v & 1)
-
-
-class WitnessReplayError(ValueError):
-    """The play reached a state the witness policy does not cover."""
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    """The set bits of an n-bit mask, in increasing order."""
+    return tuple(e for e in range(n) if mask >> e & 1)
 
 
 class WitnessStrategy:
-    """Replays a witness policy; raises if the play ever leaves it.
+    """Plays a witness's rounds: its records in turn, then its cycle's
+    again and again.
 
-    The policy's choice is a function of the run's raw state: the visited
-    mask (`state`), the positions and the robots' variables.  `run_states`
-    stops asking once the run repeats a raw state, so each one is decided
-    once, through its canonical key; a state the policy does not cover
-    raises the first time it is reached.  One strategy serves one run.
+    `state` is the index of the record the next round plays, so
+    `run_states` stops asking once an index comes back with its
+    configuration, and tiles the rest of the run from that loop.  One
+    strategy serves one run.
     """
 
     def __init__(self, witness: Witness):
-        self.witness = witness
-        self._ells = [transformed_length(r.id) for r in witness.robots]
-        self._visited = 0
-
-    @property
-    def state(self) -> int:
-        return self._visited
+        full = (1 << witness.n) - 1
+        self._masks = [full & ~_mask_of(edges) for edges in witness.absent]
+        self._path = witness.path_length
+        self.state = 0
 
     def choose_mask(self, t: int, view: RunView) -> int:
-        self._visited, mask = self._decide(t, view)
+        mask = self._masks[self.state]
+        self.state += 1
+        if self.state == len(self._masks):
+            self.state = self._path
         return mask
-
-    def _decide(self, t: int, view: RunView) -> tuple[int, int]:
-        n = view.n
-        visited = self._visited | _mask_of(view.pos)
-        gdir = [right == cw_frame for right, cw_frame in zip(view.dir_right, view.chir_cw)]
-        key, rot = state_key(
-            n, view.pos, gdir, view.idx, view.nrpea, view.hmpea, visited, self._ells
-        )
-        absent = self.witness.policy.get(_key_str(key))
-        if absent is None:
-            raise WitnessReplayError(f"round {t}: state not covered by witness policy")
-        return visited, view.full_mask & ~_mask_of((e - rot) % n for e in absent)
 
 
 def replay_witness(witness: Witness, rounds: int) -> Trace:
-    """Run the engine under the witness policy from its start configuration."""
-    strategy = WitnessStrategy(witness)
+    """Run the engine under the witness's play from its start configuration."""
     return run_states(
         witness.n,
         witness.algo,
         witness.robots,
         rounds,
-        strategy=strategy,
+        strategy=WitnessStrategy(witness),
         meta_extra={
             "schedule": {"kind": "witness", "max_absent": witness.max_absent},
             "adversary": "witness",
@@ -488,10 +407,13 @@ def replay_witness(witness: Witness, rounds: int) -> Trace:
     )
 
 
+WITNESS_VERSION = 2
+
+
 def write_witness(witness: Witness, out: IO[str]) -> None:
     header = {
         "format": "ringsweep-witness",
-        "version": 1,
+        "version": WITNESS_VERSION,
         "n": witness.n,
         "algo": witness.algo,
         "max_absent": witness.max_absent,
@@ -512,10 +434,9 @@ def write_witness(witness: Witness, out: IO[str]) -> None:
             for r in witness.robots
         ],
     }
-    out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    for key in sorted(witness.policy):
-        record = {"state": key, "absent": list(witness.policy[key])}
-        out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    out.write(_dumps(header) + "\n")
+    for t, edges in enumerate(witness.absent):
+        out.write(_dumps({"absent": list(edges), "t": t}) + "\n")
 
 
 def write_witness_file(witness: Witness, path: str) -> None:
@@ -539,19 +460,26 @@ def _distinct(value, n: int, most: int, what: str) -> tuple[int, ...]:
 
 
 def read_witness(lines) -> Witness:
-    """Parse a witness file; malformed input raises ValueError naming the line."""
+    """Parse a witness file; malformed input raises ValueError naming the line.
+
+    The header must declare a cycle of at least one round, and exactly its
+    `path_length + cycle_length` round records must follow, `t` = 0, 1, ...
+    in order; a shortfall is an error on the header's line.
+    """
     it = iter(lines)
     lineno = 1
     try:
         header = json.loads(next(it, ""))
         if type(header) is not dict or header.get("format") != "ringsweep-witness":
             raise ValueError("not a ringsweep witness file")
+        if header.get("version") != WITNESS_VERSION:
+            raise ValueError(f"version {_dumps(header.get('version'))} is not {WITNESS_VERSION}")
         n = header["n"]
         if type(n) is not int or not 3 <= n <= MAX_N:
             raise ValueError(f"n {_dumps(n)} is not a ring size 3..{MAX_N}")
-        for key in ("max_absent", "path_length", "cycle_length"):
-            if type(header[key]) is not int or header[key] < 0:
-                raise ValueError(f"{key} {_dumps(header[key])} is not an int >= 0")
+        for key, least in (("max_absent", 0), ("path_length", 0), ("cycle_length", 1)):
+            if type(header[key]) is not int or header[key] < least:
+                raise ValueError(f"{key} {_dumps(header[key])} is not an int >= {least}")
         if type(header["robots"]) is not list or not all(type(r) is dict for r in header["robots"]):
             raise ValueError("robots is not a list of objects")
         checks = _value_checks(n)
@@ -569,22 +497,31 @@ def read_witness(lines) -> Witness:
             algo=header["algo"],
             max_absent=header["max_absent"],
             robots=robots,
-            policy={},
+            absent=[],
             path_length=header["path_length"],
             cycle_length=header["cycle_length"],
             cycle_always_absent=_distinct(header["cycle_always_absent"], n, n, "cycle_always_absent"),
             starved_nodes=_distinct(header["starved_nodes"], n, n, "starved_nodes"),
         )
+        rounds = witness.path_length + witness.cycle_length
         for lineno, line in enumerate(it, start=2):
             if not line.strip():
                 continue
             rec = json.loads(line)
             if type(rec) is not dict:
                 raise ValueError("record is not an object")
-            state = rec["state"]
-            if type(state) is not str:
-                raise ValueError(f"state {_dumps(state)} is not a string")
-            witness.policy[state] = _distinct(rec["absent"], n, witness.max_absent, "absent")
+            t = len(witness.absent)
+            if t == rounds:
+                raise ValueError(f"a round record beyond the header's {rounds} rounds")
+            if type(rec["t"]) is not int or rec["t"] != t:
+                raise ValueError(f"expected round {t}, got {_dumps(rec['t'])}")
+            witness.absent.append(_distinct(rec["absent"], n, witness.max_absent, "absent"))
+        if len(witness.absent) < rounds:
+            lineno = 1
+            raise ValueError(
+                f"path_length + cycle_length is {rounds} rounds but the file holds "
+                f"{len(witness.absent)} round records"
+            )
         return witness
     except KeyError as exc:
         raise ValueError(f"witness line {lineno}: missing field {exc}") from None

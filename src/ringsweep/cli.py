@@ -105,40 +105,47 @@ def _scenario_from_args(args) -> Scenario:
     return sc
 
 
-# RobotState attribute of each `--robot` record field.
+# RobotState attribute of each robot record field.
 _ROBOT_FIELDS = {"pos": "position", "dir": "direction", "chirality": "chirality", "i": "i",
                  "nrpea": "nrpea", "hmpea": "hmpea"}
 
 
-def _read_replayed_witness(sc: Scenario, args) -> adv.Witness:
-    """The witness `sc.adversary` names, once the scenario and the cohort
-    flags are known not to contradict it.
+def _read_replayed_witness(sc: Scenario) -> adv.Witness:
+    """The witness `sc.adversary` names, once the effective scenario (file
+    keys, then flags) is known not to contradict it.
 
     The witness embeds its own cohort and ring, and replays the unmutated
     rules it was searched with; the scenario only contributes the horizon.
-    A cohort flag that names another ring, algorithm or robot is an error
-    naming the flag, not a replay of something else.
+    An `n`, `algo`, `robots` or `robot` key that names another ring,
+    algorithm or robot is an error naming the key, not a replay of
+    something else.
     """
     if sc.mutations:
         raise ScenarioError({
             "mutations": "a witness replays the unmutated rules it was searched with",
         })
     witness = adv.read_witness_file(sc.adversary.split(":", 1)[1])
-    ids = [r.id for r in witness.robots]
+    robots = {r.id: r for r in witness.robots}
     problems = {}
-    if args.n is not None and args.n != witness.n:
-        problems["n"] = f"--n {args.n} contradicts the witness's ring of {witness.n} nodes"
-    if args.algo is not None and args.algo != witness.algo:
-        problems["algo"] = f"--algo {args.algo} contradicts the witness's algorithm {witness.algo}"
-    if args.robots is not None and parse_robot_ids(args.robots) != ids:
-        problems["robots"] = f"--robots {args.robots} contradicts the witness's robots {ids}"
-    for rec in args.robot:
-        spec = parse_robot_record(rec)
-        robot = next((r for r in witness.robots if r.id == spec.id), None)
-        if robot is None or any(
-            getattr(robot, _ROBOT_FIELDS[key]) != value for key, value in spec.overrides().items()
-        ):
-            problems["robot"] = f"--robot {rec!r} contradicts the witness's robot {spec.id}"
+    if sc.n and sc.n != witness.n:
+        problems["n"] = f"{sc.n} contradicts the witness's ring of {witness.n} nodes"
+    if sc.algo is not None and sc.algo != witness.algo:
+        problems["algo"] = f"{sc.algo} contradicts the witness's algorithm {witness.algo}"
+    given = [spec.id for spec in sc.robots]
+    if given and given != list(robots):
+        problems["robots"] = f"{given} contradicts the witness's robots {list(robots)}"
+    # A robot the witness lacks is named by `robots` unless a record pins it.
+    pinned = []
+    for spec in sc.robots:
+        fields, robot = spec.overrides(), robots.get(spec.id)
+        if fields and (robot is None or any(
+            getattr(robot, _ROBOT_FIELDS[key]) != value for key, value in fields.items()
+        )):
+            record = " ".join(f"{key}={value}" for key, value in vars(spec).items()
+                              if value is not None)
+            pinned.append(f"{record} contradicts the witness's robot {spec.id}")
+    if pinned:
+        problems["robot"] = ", ".join(pinned)
     if problems:
         raise ScenarioError(problems)
     return witness
@@ -170,7 +177,7 @@ def cmd_simulate(args) -> int:
     sc = _scenario_from_args(args)
     witness = None
     if sc.adversary and sc.adversary.startswith("witness:"):
-        witness = _read_replayed_witness(sc, args)
+        witness = _read_replayed_witness(sc)
     if args.batch is None:
         return _simulate_one(sc, args.out, witness=witness)
     base_out = args.out or "trace"
@@ -221,7 +228,7 @@ def cmd_search(args) -> int:
     sc.validate()
     robots = build_robots(sc)
     result = adv.game_search(
-        sc.n, robots, sc.algo, max_absent=args.max_absent, state_budget=args.state_budget
+        sc.n, robots, sc.algorithm, max_absent=args.max_absent, state_budget=args.state_budget
     )
     print(
         f"verdict: {result.verdict}   explored states: {result.explored}"
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--max-absent", type=int, default=1,
                       help="simultaneously absent edges the adversary may choose (default 1)")
     p_se.add_argument("--state-budget", type=int, default=2_000_000)
-    p_se.add_argument("--witness-out", help="write the winning policy here")
+    p_se.add_argument("--witness-out", help="write the confining play here")
     p_se.set_defaults(func=cmd_search)
 
     p_wo = sub.add_parser("words", help="transformed identifiers and word oracles")

@@ -329,13 +329,6 @@ class RunView:
     nrpea: list[int]
     hmpea: list[int]
 
-    @property
-    def variables(self) -> tuple:
-        """One hashable read of the robots' variables: two views of one run
-        give equal values exactly when `dir_right`, `idx`, `nrpea` and
-        `hmpea` are equal."""
-        return tuple(map(tuple, (self.dir_right, self.idx, self.nrpea, self.hmpea)))
-
 
 class _LiveView(RunView):
     """The RunView `run_states` hands a strategy.
@@ -352,11 +345,6 @@ class _LiveView(RunView):
         self._table = table
         self.pos: list[int] = []
         self.codes: list[int] = []
-
-    @property
-    def variables(self) -> tuple:
-        # The run's table interns each robot's variables to one code.
-        return tuple(self.codes)
 
     def _field(self, f: int) -> list:
         states, shift = self._table.locals, self._table.shift

@@ -71,7 +71,8 @@ class RobotSpec:
 @dataclass
 class Scenario:
     n: int = 0
-    algo: str = ALGO_PEF3
+    # None until a file key or flag names the algorithm; runs read it as pef3.
+    algo: str | None = None
     robots: list[RobotSpec] = field(default_factory=list)
     schedule: str = "static"
     seed: int = 0
@@ -89,7 +90,7 @@ class Scenario:
         problems: dict[str, str] = {}
         if not 3 <= self.n <= MAX_N:
             problems["n"] = f"ring size must be in 3..{MAX_N} (edge masks are int64), got {self.n}"
-        if self.algo not in (ALGO_PEF3, ALGO_PEF2):
+        if self.algo not in (None, ALGO_PEF3, ALGO_PEF2):
             problems["algo"] = f"must be {ALGO_PEF3} or {ALGO_PEF2}, got {self.algo!r}"
         if not self.robots:
             problems["robots"] = "at least one robot id is required"
@@ -138,10 +139,15 @@ class Scenario:
         if problems:
             raise ScenarioError(problems)
 
+    @property
+    def algorithm(self) -> str:
+        """The algorithm the scenario runs."""
+        return self.algo or ALGO_PEF3
+
     def describe(self) -> dict:
         d = {
             "n": self.n,
-            "algo": self.algo,
+            "algo": self.algorithm,
             "schedule": self.schedule,
             "seed": self.seed,
             "rounds": self.rounds,
@@ -198,13 +204,13 @@ def run_scenario(sc: Scenario, strategy=None) -> Trace:
     if strategy is not None:
         meta_extra["schedule"] = {"kind": "reactive", "adversary": sc.adversary or "custom"}
         return run_states(
-            sc.n, sc.algo, robots, sc.rounds,
+            sc.n, sc.algorithm, robots, sc.rounds,
             strategy=strategy, mutations=sc.mutations, meta_extra=meta_extra,
         )
     schedule = build_schedule(sc)
     meta_extra["schedule"] = schedule.describe()
     return run_states(
-        sc.n, sc.algo, robots, sc.rounds,
+        sc.n, sc.algorithm, robots, sc.rounds,
         schedule=schedule, mutations=sc.mutations, meta_extra=meta_extra,
     )
 

@@ -2,6 +2,7 @@
 import hashlib
 import io
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from ringsweep.ring_model import (
     classify_prefix,
 )
 from ringsweep.robot_core import NO_MUTATIONS, RobotState
+from ringsweep.words import normalize_index, transformed_length
 
 CW = Chirality.RIGHT_IS_CLOCKWISE
 R = Direction.RIGHT
@@ -82,34 +84,85 @@ def view_for(n, positions):
     )
 
 
-def policy_keys(witness, trace):
-    """The policy key of each replayed round, recomputed from the trace
-    columns; asserts that each round's mask is the policy's choice rotated
-    back onto the ring."""
-    n, robots = witness.n, witness.robots
-    full = (1 << n) - 1
-    ells = [r.ell for r in robots]
-    variables = (
-        [to_global(r.direction, r.chirality) is GlobalDirection.CLOCKWISE for r in robots],
-        [r.i for r in robots],
-        [r.nrpea for r in robots],
-        [r.hmpea for r in robots],
+def state_key(n, pos, gdir_cw, idx, nrpea, hmpea, visited_mask, ells):
+    """Canonical game-state key under ring rotation, plus the rotation used:
+    robot 0 on node 0, the read index normalized into 1..ell and nrpea
+    capped at k+1."""
+    rot = -pos[0] % n
+    cap = len(pos) + 1
+    vis = ((visited_mask << rot) | (visited_mask >> (n - rot))) & ((1 << n) - 1)
+    key = (
+        tuple((p + rot) % n for p in pos),
+        tuple(bool(v) for v in gdir_cw),
+        tuple(normalize_index(i, ell) for i, ell in zip(idx, ells)),
+        tuple(min(v, cap) for v in nrpea),
+        tuple(bool(v) for v in hmpea),
+        vis,
     )
-    visited = 0
-    for t in range(trace.rounds):
-        pos = trace.pos[t].tolist()
-        visited |= sum(1 << p for p in set(pos))
-        if t:
-            # Columns hold each round's post-Compute variables: the state
-            # the next round starts from.
-            variables = [trace.gdir_cw[t - 1], trace.idx[t - 1], trace.nrpea[t - 1],
-                         trace.hmpea[t - 1]]
-            variables = [col.tolist() for col in variables]
-        key, rot = adv.state_key(n, pos, *variables, visited, ells)
-        key = adv._key_str(key)
-        absent = sum(1 << (e - rot) % n for e in witness.policy[key])
-        assert int(trace.edges[t]) == full & ~absent, t
-        yield key
+    return key, rot
+
+
+def _key_str(key):
+    rpos, gd, idx, nr, hm, vis = key
+    return "|".join(
+        [
+            ",".join(map(str, rpos)),
+            "".join("1" if b else "0" for b in gd),
+            ",".join(map(str, idx)),
+            ",".join(map(str, nr)),
+            "".join("1" if b else "0" for b in hm),
+            str(vis),
+        ]
+    )
+
+
+@dataclass
+class PolicyWitness:
+    """The reference witness: a policy from canonical state keys to absent
+    edges, in the rotated frame."""
+
+    n: int
+    algo: str
+    max_absent: int
+    robots: list
+    policy: dict
+    path_length: int
+    cycle_length: int
+    cycle_always_absent: tuple = ()
+    starved_nodes: tuple = ()
+
+
+class PolicyWitnessStrategy:
+    """The reference replay: each round's canonical key, looked up in the
+    policy and rotated back onto the ring.  `state` is the visited mask, so
+    the run stops asking once a (visited, configuration) pair returns."""
+
+    def __init__(self, witness):
+        self.witness = witness
+        self._ells = [transformed_length(r.id) for r in witness.robots]
+        self.state = 0
+
+    def choose_mask(self, t, view):
+        n = view.n
+        self.state |= _mask_of(view.pos)
+        gdir = [right == cw_frame for right, cw_frame in zip(view.dir_right, view.chir_cw)]
+        key, rot = state_key(
+            n, view.pos, gdir, view.idx, view.nrpea, view.hmpea, self.state, self._ells
+        )
+        absent = self.witness.policy[_key_str(key)]
+        return view.full_mask & ~_mask_of((e - rot) % n for e in absent)
+
+
+def policy_replay(witness, rounds):
+    """`adv.replay_witness` of the reference policy witness."""
+    return run_states(
+        witness.n, witness.algo, witness.robots, rounds,
+        strategy=PolicyWitnessStrategy(witness),
+        meta_extra={
+            "schedule": {"kind": "witness", "max_absent": witness.max_absent},
+            "adversary": "witness",
+        },
+    )
 
 
 class OracleGameContext:
@@ -129,7 +182,7 @@ class OracleGameContext:
         idx = [r.i for r in robots]
         nr = [r.nrpea for r in robots]
         hm = [1 if r.hmpea else 0 for r in robots]
-        key, _ = adv.state_key(self.n, pos, gdir, idx, nr, hm, _mask_of(pos), self.ells)
+        key, _ = state_key(self.n, pos, gdir, idx, nr, hm, _mask_of(pos), self.ells)
         return key
 
     def choices(self, key):
@@ -159,13 +212,13 @@ class OracleGameContext:
             nr_l.append(nrpea)
             hm_l.append(hmpea)
         new_vis = vis | _mask_of(new_pos)
-        child, _ = adv.state_key(n, new_pos, gdir, idx_l, nr_l, hm_l, new_vis, self.ells)
+        child, _ = state_key(n, new_pos, gdir, idx_l, nr_l, hm_l, new_vis, self.ells)
         return child
 
 
 def oracle_game_search(n, robots, algo, max_absent=1, state_budget=2_000_000):
     """The reference search: the visited-mask DFS over `OracleGameContext`,
-    annotated by `oracle_annotate_witness`."""
+    whose witness is a policy annotated by `oracle_annotate_witness`."""
     ctx = OracleGameContext(n, algo, robots, max_absent)
     full_visited = ctx.full
     start = ctx.start_state(robots)
@@ -202,9 +255,9 @@ def oracle_game_search(n, robots, algo, max_absent=1, state_budget=2_000_000):
     policy = {}
     for state, choices, idx in stack:
         absent_mask = choices[idx]
-        policy[adv._key_str(state)] = tuple(e for e in range(n) if absent_mask >> e & 1)
+        policy[_key_str(state)] = tuple(e for e in range(n) if absent_mask >> e & 1)
     entry_index = next(i for i, f in enumerate(stack) if f[0] == cycle_entry)
-    witness = adv.Witness(
+    witness = PolicyWitness(
         n=n, algo=algo, max_absent=max_absent, robots=list(robots), policy=policy,
         path_length=entry_index, cycle_length=len(stack) - entry_index,
     )
@@ -214,9 +267,9 @@ def oracle_game_search(n, robots, algo, max_absent=1, state_budget=2_000_000):
 
 def oracle_annotate_witness(witness):
     """Starved nodes and the cycle's permanently absent edges, read off a
-    replay of `path + 2 * max(cycle, 1)` rounds."""
+    policy replay of `path + 2 * max(cycle, 1)` rounds."""
     rounds = witness.path_length + 2 * max(witness.cycle_length, 1)
-    trace = adv.replay_witness(witness, rounds)
+    trace = policy_replay(witness, rounds)
     full = (1 << witness.n) - 1
     lo = witness.path_length
     hi = lo + witness.cycle_length
@@ -228,12 +281,35 @@ def oracle_annotate_witness(witness):
     witness.starved_nodes = tuple(sorted(set(range(witness.n)) - seen))
 
 
-def witness_bytes(witness):
-    if witness is None:
-        return None
-    buf = io.StringIO()
-    adv.write_witness(witness, buf)
-    return buf.getvalue()
+def configuration(trace, robots, t):
+    """The configuration before round t of a replay, canonical as the
+    search keys it: positions, then the variables with the read index
+    normalized and nrpea capped at k+1."""
+    if t == 0:
+        variables = (
+            [to_global(r.direction, r.chirality) is GlobalDirection.CLOCKWISE for r in robots],
+            [r.i for r in robots], [r.nrpea for r in robots], [r.hmpea for r in robots],
+        )
+    else:
+        # Columns hold each round's post-Compute variables: the state the
+        # next round starts from.
+        variables = [col[t - 1].tolist() for col in
+                     (trace.gdir_cw, trace.idx, trace.nrpea, trace.hmpea)]
+    gdir, idx, nrpea, hmpea = variables
+    cap = len(robots) + 1
+    return (
+        tuple(trace.config_positions()[t].tolist()),
+        tuple(map(bool, gdir)),
+        tuple(normalize_index(i, r.ell) for i, r in zip(idx, robots)),
+        tuple(min(v, cap) for v in nrpea),
+        tuple(map(bool, hmpea)),
+    )
+
+
+def phase(witness, t):
+    """The index of the record round t of a replay plays."""
+    lo = witness.path_length
+    return t if t < lo else lo + (t - lo) % witness.cycle_length
 
 
 class TestConfinementCases:
@@ -371,7 +447,7 @@ class TestGameSearch:
     def test_search_is_deterministic(self):
         a = adv.game_search(4, facing_pair(), "pef3")
         b = adv.game_search(4, facing_pair(), "pef3")
-        assert a.witness.policy == b.witness.policy
+        assert a.witness == b.witness
         assert a.explored == b.explored
 
     def test_budget_exhaustion_is_explicit(self):
@@ -418,13 +494,18 @@ class TestGameSearch:
             assert expected is None or result.explored == expected
 
     def test_search_matches_the_oracle_on_fuzzed_starts(self):
-        # The interned search against the reference DFS and its replay-based
-        # annotation: n 3..6, k 1..3, pef2 at n = 3, max_absent 0..2 and n
-        # (for n <= 4), and state budgets 1..20 for Inconclusive.  Fuzzed
-        # starts hold out-of-range read indices and nrpea up to 2k, so the
-        # normalization at the start is exercised too.
+        # The interned search against the reference DFS, its policy witness
+        # and its replay-based annotation: n 3..6, k 1..3, pef2 at n = 3,
+        # max_absent 0..2 and n (for n <= 4), and state budgets 1..20 for
+        # Inconclusive.  Fuzzed starts hold out-of-range read indices and
+        # nrpea up to 2k, so the normalization at the start is exercised
+        # too.  Every witness replays exactly as the reference policy does,
+        # column for column, over one round, the path and one turn of the
+        # cycle, three turns, and 5,000 rounds; and its cycle brings back
+        # the configuration it entered with, unrotated.
         rng = random.Random(13_013)
         seen = {"n": set(), "k": set(), "max_absent": set(), "verdict": set(), "algo": set()}
+        witnesses = 0
         for case in range(400):
             n, k = rng.randint(3, 6), rng.randint(1, 3)
             algo = "pef2" if n == 3 and rng.random() < 0.5 else "pef3"
@@ -434,10 +515,23 @@ class TestGameSearch:
             want = oracle_game_search(n, robots, algo, max_absent, budget)
             got = adv.game_search(n, robots, algo, max_absent, budget)
             assert (got.verdict, got.explored) == (want.verdict, want.explored), case
-            assert witness_bytes(got.witness) == witness_bytes(want.witness), case
+            assert (got.witness is None) == (want.witness is None), case
             if want.witness is not None:
-                assert got.witness.starved_nodes == want.witness.starved_nodes, case
-                assert got.witness.cycle_always_absent == want.witness.cycle_always_absent, case
+                witnesses += 1
+                w, ref = got.witness, want.witness
+                assert (w.path_length, w.cycle_length) == (ref.path_length, ref.cycle_length), case
+                assert w.starved_nodes == ref.starved_nodes, case
+                assert w.cycle_always_absent == ref.cycle_always_absent, case
+                lo, cycle = w.path_length, w.cycle_length
+                for rounds in (1, lo + cycle, lo + 3 * cycle, 5_000):
+                    trace, expected = adv.replay_witness(w, rounds), policy_replay(ref, rounds)
+                    for name in ("edges", "pos", "gdir_cw", "idx", "nrpea", "hmpea", "moved",
+                                 "final_pos"):
+                        assert np.array_equal(getattr(trace, name), getattr(expected, name)), (
+                            case, rounds, name)
+                    assert trace.meta == expected.meta, (case, rounds)
+                # `trace` is the 5,000-round replay: its cycle turns the ring by 0.
+                assert configuration(trace, robots, lo + cycle) == configuration(trace, robots, lo), case
             for key, value in (("n", n), ("k", k), ("max_absent", max_absent),
                                ("verdict", got.verdict), ("algo", algo)):
                 seen[key].add(value)
@@ -445,35 +539,23 @@ class TestGameSearch:
         assert seen["max_absent"] == {0, 1, 2, 3, 4} and seen["algo"] == {"pef2", "pef3"}
         assert seen["verdict"] == {adv.VERDICT_CONFINABLE, adv.VERDICT_NOT_CONFINABLE,
                                    adv.VERDICT_INCONCLUSIVE}
-
-    def test_annotation_walks_path_plus_two_cycles(self):
-        # A cycle of one frame whose successor turns the frame by two nodes:
-        # its robot stands on nodes 0, 4 and 2 of the ring at times 0, 1 and
-        # 2, as a replay of path + 2 * cycle = 2 rounds would show.  Its
-        # absent edge, 1 in its own frame, is edge 1 of the ring in round 0.
-        witness = adv.Witness(6, "pef3", 1, [], {}, path_length=0, cycle_length=1)
-        adv._annotate_witness(witness, [(0b1, 0b10, 2)], 0)
-        assert witness.starved_nodes == (1, 3, 5)
-        assert witness.cycle_always_absent == (1,)
+        assert witnesses >= 100
 
     def test_witness_file_round_trip(self):
         result = adv.game_search(4, facing_pair(), "pef3")
         buf = io.StringIO()
         adv.write_witness(result.witness, buf)
         back = adv.read_witness(io.StringIO(buf.getvalue()).read().splitlines())
-        assert back.policy == result.witness.policy
-        assert back.robots == result.witness.robots
-        assert back.cycle_always_absent == result.witness.cycle_always_absent
+        assert back == result.witness
         trace_a = adv.replay_witness(result.witness, 200)
         trace_b = adv.replay_witness(back, 200)
         assert (trace_a.pos == trace_b.pos).all()
         assert (trace_a.edges == trace_b.edges).all()
 
-    def test_replayed_masks_follow_the_policy_every_round(self):
-        # Each round's mask, recomputed from the trace columns through the
-        # canonical key, the policy and the rotation back; then each policy
-        # record dropped in turn makes the replay fail at the round that
-        # first reaches its state.
+    def test_replayed_masks_follow_the_witness_rounds(self):
+        # Round t plays record t during the path, then the cycle's records
+        # in turn; the records hold at most `max_absent` edges, each
+        # incident to a robot of that round.
         rng = random.Random(2024)
         witnesses = []
         while len(witnesses) < 24:
@@ -484,48 +566,33 @@ class TestGameSearch:
                 witnesses.append(result.witness)
         assert {len(w.robots) for w in witnesses} == {1, 2, 3}
         for w in witnesses:
+            full = (1 << w.n) - 1
             rounds = w.path_length + 3 * w.cycle_length
             trace = adv.replay_witness(w, rounds)
-            first_reached = {}
-            for t, key in enumerate(policy_keys(w, trace)):
-                first_reached.setdefault(key, t)
-            assert set(first_reached) == set(w.policy)
-            for key, t in first_reached.items():
-                dropped = adv.Witness(**{**vars(w), "policy": dict(w.policy)})
-                del dropped.policy[key]
-                with pytest.raises(adv.WitnessReplayError, match=f"^round {t}:"):
-                    adv.replay_witness(dropped, rounds)
+            assert len(w.absent) == w.path_length + w.cycle_length
+            for t in range(rounds):
+                absent = w.absent[phase(w, t)]
+                assert int(trace.edges[t]) == full & ~_mask_of(absent), t
+                incident = {e for p in trace.pos[t].tolist() for e in (p, (p - 1) % w.n)}
+                assert len(absent) <= w.max_absent and set(absent) <= incident, t
 
-    def test_replay_decides_again_when_only_the_visited_mask_changed(self):
-        # Rounds 0 and 2 show one configuration; in between the robots have
-        # visited every node, so round 2 is another policy state.
-        views = [view_for(4, (0, 1)), view_for(4, (3, 2)), view_for(4, (0, 1))]
-        visited, policy, expected = 0, {}, []
-        for edge, view in enumerate(views):
-            visited |= adv._mask_of(view.pos)
-            key, rot = adv.state_key(4, view.pos, view.dir_right, view.idx, view.nrpea,
-                                     view.hmpea, visited, [r.ell for r in facing_pair()])
-            policy[adv._key_str(key)] = (edge,)
-            expected.append(0b1111 & ~(1 << (edge - rot) % 4))
-        witness = adv.Witness(4, "pef3", 1, facing_pair(), policy, 0, 3)
-        strategy = adv.WitnessStrategy(witness)
-        assert [strategy.choose_mask(t, v) for t, v in enumerate(views)] == expected
-
-    def test_replay_asks_again_when_a_configuration_returns_with_more_visited(self):
-        # The solo pef2 witness meets its start configuration again at
-        # round 2 with node 2 visited since: another policy state, so the
-        # replay must not close its loop there.
+    def test_solo_pef2_witness_rounds(self):
+        # The solo pef2 robot shuttles between nodes 0 and 2: round 0 removes
+        # edge 0, then the cycle removes edges 1 and 0 in turn.  Round 2
+        # meets the start configuration again, but with node 2 visited since,
+        # so the search's cycle starts at round 1.
         robot = [RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True)]
         witness = adv.game_search(3, robot, "pef2").witness
-        assert set(witness.policy) == {"0|1|1|1|1|1", "0|0|1|1|1|3", "0|1|1|1|1|5"}
-        del witness.policy["0|1|1|1|1|5"]
-        with pytest.raises(adv.WitnessReplayError, match="^round 2:"):
-            adv.replay_witness(witness, 100)
+        assert witness.absent == [(0,), (1,), (0,)]
+        assert (witness.path_length, witness.cycle_length) == (1, 2)
+        assert witness.starved_nodes == (1,)
+        trace = adv.replay_witness(witness, 8)
+        assert trace.edges.tolist() == [0b110, 0b101] * 4
+        assert trace.config_positions().ravel().tolist() == [0, 2] * 4 + [0]
 
-    def test_long_replay_asks_the_policy_only_until_its_loop_closes(self, monkeypatch):
-        # The replay stops asking once a (visited, configuration) pair
-        # comes back; the canonical cycle can take up to n turns to bring
-        # back the same raw state.
+    def test_long_replay_asks_for_masks_only_until_its_loop_closes(self, monkeypatch):
+        # The replay stops asking once a (record index, configuration) pair
+        # comes back, at round path + cycle: the cycle turns the ring by 0.
         witness = adv.game_search(4, facing_pair(), "pef3").witness
         calls = []
         choose = adv.WitnessStrategy.choose_mask
@@ -537,30 +604,23 @@ class TestGameSearch:
         monkeypatch.setattr(adv.WitnessStrategy, "choose_mask", counted)
         trace = adv.replay_witness(witness, 100_000)
         assert trace.rounds == 100_000
-        assert len(calls) <= witness.path_length + witness.n * witness.cycle_length + 1
-
-    def test_witness_replay_rejects_foreign_state(self):
-        result = adv.game_search(4, facing_pair(), "pef3")
-        strategy = adv.WitnessStrategy(result.witness)
-        foreign = view_for(4, (2, 3))
-        with pytest.raises(adv.WitnessReplayError):
-            strategy.choose_mask(0, foreign)
+        assert len(calls) <= witness.path_length + witness.cycle_length + 1
 
     @pytest.mark.parametrize(
         "n,robots,algo,explored,digest",
         [
             (4, facing_pair(), "pef3", 2,
-             "d81d7bc2099440a8a008cad0660608dc137afa060a4aee47d064ce8411a8f5a8"),
+             "bc96708aeaa94c540312dd9a879737286339e9fa63e38f26258fc2695c4f6042"),
             (3, [RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True)], "pef2", 3,
-             "db89e0437615be0cc3fe0be5a62aaa48dde1aece20ba4256042422c1fc8c44d3"),
+             "c15d209a256276a6abb83e9bfc1a37886129efb10c812d0f8d9a393e061cd36f"),
             (4, [RobotState.make(r, r, R, CW, i=1, nrpea=1, hmpea=True) for r in range(3)],
              "pef3", 4, None),
         ],
         ids=["facing-pair-pef3", "solo-pef2", "trio-pef3"],
     )
     def test_golden_criterion_5_searches(self, n, robots, algo, explored, digest):
-        # Pins the explored counts, and the witness format and canonical
-        # state keys byte for byte, as the golden trace digest pins traces.
+        # Pins the explored counts, and the witness format and its rounds
+        # byte for byte, as the golden trace digest pins traces.
         result = adv.game_search(n, robots, algo)
         assert result.explored == explored
         if digest is None:

@@ -159,14 +159,19 @@ def test_fast_loop_matches_reference_step():
         assert tuple(trace.final_pos) == final
 
 
+def variables(view):
+    """The robots' variables a RunView shows, as four hashable tuples."""
+    return tuple(map(tuple, (view.dir_right, view.idx, view.nrpea, view.hmpea)))
+
+
 class ReferenceCheckingStrategy:
     """Draws random masks, replaying them through `engine.step`, and checks
     each round that the RunView shows the reference configuration.
 
     With `revisit` the mask is a fixed random function of `view.pos` and
-    `view.variables`, drawn the first time each value is seen, so the run
-    comes back to its configurations with the same mask; otherwise every
-    round draws a fresh mask.
+    the robots' variables, drawn the first time each value is seen, so the
+    run comes back to its configurations with the same mask; otherwise
+    every round draws a fresh mask.
     """
 
     def __init__(self, n, algo, states, mutations, seed, revisit=False):
@@ -174,8 +179,6 @@ class ReferenceCheckingStrategy:
         self.cfg = Configuration(0, tuple(states))
         self.rng = random.Random(seed)
         self.masks = []
-        # (view.variables, decoded variables) of every round.
-        self.variables = set()
         # (pos, variables) -> mask, when `revisit`.
         self.policy = {} if revisit else None
 
@@ -183,9 +186,6 @@ class ReferenceCheckingStrategy:
         if t:
             self.cfg = step(self.cfg, self.masks[-1], self.algo, self.n, self.mutations)
         robots = self.cfg.robots
-        decoded = (tuple(view.dir_right), tuple(view.idx), tuple(view.nrpea),
-                   tuple(bool(h) for h in view.hmpea))
-        self.variables.add((view.variables, decoded))
         assert (view.n, view.full_mask) == (self.n, (1 << self.n) - 1)
         assert view.pos == [s.position for s in robots], t
         assert view.dir_right == [s.direction is Direction.RIGHT for s in robots], t
@@ -196,7 +196,7 @@ class ReferenceCheckingStrategy:
         if self.policy is None:
             mask = self.rng.getrandbits(self.n)
         else:
-            key = (tuple(view.pos), view.variables)
+            key = (tuple(view.pos), *variables(view))
             mask = self.policy.get(key)
             if mask is None:
                 mask = self.policy[key] = self.rng.getrandbits(self.n)
@@ -215,9 +215,6 @@ def test_reactive_view_shows_reference_state():
         strategy = ReferenceCheckingStrategy(n, algo, states, mutations, case)
         trace = run_states(n, algo, states, 300, strategy=strategy, mutations=mutations)
         assert trace.edges.tolist() == strategy.masks
-        # Variable keys are equal exactly when the decoded variables are.
-        pairs = strategy.variables
-        assert len({key for key, _ in pairs}) == len({dec for _, dec in pairs}) == len(pairs)
         want, _ = reference_columns(n, algo, states, strategy.masks, mutations)
         for name, rows in want.items():
             assert np.array_equal(getattr(trace, name), rows), (case, name)
@@ -289,7 +286,7 @@ class AskedEveryRound:
         self.loop = None
 
     def choose_mask(self, t, view):
-        key = (self.strategy.state, tuple(view.pos), view.variables)
+        key = (self.strategy.state, tuple(view.pos), *variables(view))
         t1 = self.first.setdefault(key, t)
         if t1 < t and self.loop is None:
             self.loop = (t1, t)

@@ -59,16 +59,17 @@ BAD_COMMAND_LINES = {
      "--rounds", "5"): "a witness replays the unmutated rules",
     # The facing pair's witness is an n = 4 pef3 cohort of robots 0 (node 0)
     # and 1 (node 1); a cohort flag that says otherwise is not replayed.
+    # WITNESS_SCENARIO_FILES holds the same keys in a scenario file.
     ("simulate", "--adversary", "witness:{witness}", "--n", "5", "--rounds", "5"):
-        "n: --n 5 contradicts the witness's ring of 4 nodes",
+        "n: 5 contradicts the witness's ring of 4 nodes",
     ("simulate", "--adversary", "witness:{witness}", "--algo", "pef2", "--rounds", "5"):
-        "algo: --algo pef2 contradicts the witness's algorithm pef3",
+        "algo: pef2 contradicts the witness's algorithm pef3",
     ("simulate", "--adversary", "witness:{witness}", "--robots", "0,1,2", "--rounds", "5"):
-        "robots: --robots 0,1,2 contradicts the witness's robots [0, 1]",
+        "robots: [0, 1, 2] contradicts the witness's robots [0, 1]",
     ("simulate", "--adversary", "witness:{witness}", "--robot", "id=1 pos=2", "--rounds", "5"):
-        "robot: --robot 'id=1 pos=2' contradicts the witness's robot 1",
+        "robot: id=1 pos=2 contradicts the witness's robot 1",
     ("simulate", "--adversary", "witness:{witness}", "--robot", "id=2", "--rounds", "5"):
-        "robot: --robot 'id=2' contradicts the witness's robot 2",
+        "robots: [2] contradicts the witness's robots [0, 1]",
     ("words", "--table", "-1"): "--table MAX_ID must be >= 0, got -1",
     ("search", "--n", "4", "--robots", "0,1", "--state-budget", "0"):
         "state_budget must be >= 1, got 0",
@@ -78,6 +79,21 @@ BAD_COMMAND_LINES = {
         "--batch must be >= 1, got 0",
     ("simulate", "--n", "4", "--robots", "0,1", "--rounds", "5", "--batch", "-3"):
         "--batch must be >= 1, got -3",
+}
+
+
+# Scenario-file keys that contradict the facing pair's witness, each with
+# what stderr must say; the file also holds `adversary = witness:<path>`
+# and `rounds = 50`.  The first is the keys of a file that used to replay
+# the n = 4 pair regardless.
+WITNESS_SCENARIO_FILES = {
+    "n = 5\nalgo = pef2\nrobots = 0,1,2\n": "n: 5 contradicts the witness's ring of 4 nodes",
+    "n = 5\n": "n: 5 contradicts the witness's ring of 4 nodes",
+    "algo = pef2\n": "algo: pef2 contradicts the witness's algorithm pef3",
+    "robots = 0,1,2\n": "robots: [0, 1, 2] contradicts the witness's robots [0, 1]",
+    "robots = 1,0\n": "robots: [1, 0] contradicts the witness's robots [0, 1]",
+    "robots = 0,1\nrobot = id=1 pos=2\n": "robot: id=1 pos=2 contradicts the witness's robot 1",
+    "robots = 0,1\nrobot = id=0 dir=L\n": "robot: id=0 dir=L contradicts the witness's robot 0",
 }
 
 
@@ -376,7 +392,12 @@ class TestCli:
             ("witness", (1, "absent", Put(["x"]))),
             ("witness", (1, "absent", Put(5))),
             ("witness", (1, "absent", Put([99]))),
-            ("witness", (1, "state", Put([0, 1]))),
+            ("witness", (1, "t")),
+            ("witness", (1, "t", Put(1))),
+            ("witness", (1, "t", Put(True))),
+            ("witness", (1,)),
+            ("witness", (0, "cycle_length", Put(0))),
+            ("witness", (0, "version", Put(1))),
             ("witness", (0, "n", Put("4"))),
             ("witness", (0, "robots", Put(5))),
             ("witness", (1, Put([1]))),
@@ -426,16 +447,51 @@ class TestCli:
             assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
         assert f"{kind} line {path[0] + 1}" in capsys.readouterr().err
 
-    def test_witness_missing_a_policy_record_exits_2(self, tmp_path, capsys):
+    def test_witness_round_records_must_match_the_header(self, tmp_path, capsys):
+        # The facing pair's witness has path 1 and cycle 1: two round
+        # records.  Dropping the first leaves round 1 on line 2, dropping the
+        # second leaves the header short of a round, and a third record is
+        # one round too many.
         target = tmp_path / "witness.jsonl"
         assert cli.main(facing_pair_search(target)) == 0
         header, *records = target.read_text().splitlines(keepends=True)
-        assert len(records) == 2
-        for dropped in range(len(records)):
-            target.write_text(header + "".join(records[:dropped] + records[dropped + 1:]))
+        assert records == ['{"absent":[0],"t":0}\n', '{"absent":[0],"t":1}\n']
+        cases = [
+            (records[1:], "witness line 2: expected round 0, got 1"),
+            (records[:1], "witness line 1: path_length + cycle_length is 2 rounds but the "
+                          "file holds 1 round records"),
+            (records + ['{"absent":[0],"t":2}\n'],
+             "witness line 4: a round record beyond the header's 2 rounds"),
+        ]
+        for kept, message in cases:
+            target.write_text(header + "".join(kept))
             capsys.readouterr()
             assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
-            assert "not covered by witness policy" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", list(WITNESS_SCENARIO_FILES))
+    def test_witness_replay_rejects_a_scenario_file_that_contradicts_it(
+        self, keys, tmp_path, capsys
+    ):
+        target = tmp_path / "witness.jsonl"
+        assert cli.main(facing_pair_search(target)) == 0
+        scen = tmp_path / "scenario.txt"
+        scen.write_text(f"adversary = witness:{target}\nrounds = 50\n{keys}")
+        capsys.readouterr()
+        assert cli.main(["simulate", "--scenario", str(scen)]) == 2
+        assert WITNESS_SCENARIO_FILES[keys] in capsys.readouterr().err
+
+    def test_witness_replay_accepts_a_scenario_file_that_agrees(self, tmp_path, capsys):
+        target = tmp_path / "witness.jsonl"
+        assert cli.main(facing_pair_search(target)) == 0
+        scen = tmp_path / "scenario.txt"
+        scen.write_text(
+            f"adversary = witness:{target}\nrounds = 50\nn = 4\nalgo = pef3\n"
+            "robots = 0,1\nrobot = id=1 pos=1 dir=L chirality=cw i=1 nrpea=1 hmpea=true\n"
+        )
+        capsys.readouterr()
+        assert cli.main(["simulate", "--scenario", str(scen)]) == 1  # the pair starves node 2
+        assert "Starved(node=2, since=25)" in capsys.readouterr().out
 
     def test_witness_replay_rejects_mutations_from_a_scenario_file(self, tmp_path, capsys):
         target = tmp_path / "witness.jsonl"
