@@ -3,15 +3,7 @@ exploration of highly dynamic (connected-over-time) rings by synchronous
 self-stabilizing robots."""
 
 from .directions import Chirality, Direction, GlobalDirection, to_global, to_local
-from .ring_model import (
-    EdgeClass,
-    EdgeRemovalSpec,
-    EvolvingRing,
-    Footprint,
-    classify_prefix,
-    remove,
-    static_ring,
-)
+from .ring_model import EdgeClass, classify_prefix
 from .robot_core import LookSnapshot, RobotState
 from .engine import (
     Configuration,
@@ -42,9 +34,6 @@ __all__ = [
     "CoverageReport",
     "Direction",
     "EdgeClass",
-    "EdgeRemovalSpec",
-    "EvolvingRing",
-    "Footprint",
     "GlobalDirection",
     "LookSnapshot",
     "RobotState",
@@ -61,12 +50,10 @@ __all__ = [
     "monitor_lemmas",
     "parse_scenario_file",
     "read_trace_file",
-    "remove",
     "replay_witness",
     "run_scenario",
     "run_states",
     "sentinel_visitor_report",
-    "static_ring",
     "step",
     "to_global",
     "to_local",

@@ -209,12 +209,7 @@ class _ConfigurationGraph:
 
     def start(self, robots: Sequence[RobotState]) -> tuple[int, int]:
         """The start's game state and the rotation from the ring to its frame."""
-        cap = len(robots) + 1
-        codes = tuple(
-            self.table.code((r, s.direction is Direction.RIGHT, normalize_index(s.i, s.ell),
-                             min(s.nrpea, cap), 1 if s.hmpea else 0))
-            for r, s in enumerate(robots)
-        )
+        codes = _normal_codes(self.table, robots)
         cid, rot = self._intern([s.position for s in robots], codes)
         return cid << self.n | _mask_of(self.configs[cid][0]), rot
 
@@ -262,6 +257,17 @@ class _ConfigurationGraph:
         child, rot = self._intern(new_pos, tuple(new_codes))
         out = self.successors[cid][i] = (child << n, moved, rot, self.rotl[rot])
         return out
+
+
+def _normal_codes(table: _LocalTable, robots: Sequence[RobotState]) -> tuple[int, ...]:
+    """The robots' `table` codes in normal form: `i` in 1..ell and `nrpea`
+    capped at k+1, as every larger count acts alike."""
+    cap = len(robots) + 1
+    return tuple(
+        table.code((r, s.direction is Direction.RIGHT, normalize_index(s.i, s.ell),
+                    min(s.nrpea, cap), 1 if s.hmpea else 0))
+        for r, s in enumerate(robots)
+    )
 
 
 def game_search(
@@ -459,12 +465,56 @@ def _distinct(value, n: int, most: int, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _check_play(witness: Witness) -> None:
+    """ValueError naming the header field unless the witness's records
+    close its lasso and show its `cycle_always_absent` and `starved_nodes`.
+
+    The play is replayed once, for `path_length + cycle_length` rounds, in
+    `_ConfigurationGraph`'s normal form: the configuration after those
+    rounds must be the one after `path_length` rounds, `starved_nodes` the
+    nodes no robot occupies, and `cycle_always_absent` the edges absent in
+    every round of the cycle.
+    """
+    n, full = witness.n, (1 << witness.n) - 1
+    table = _LocalTable(witness.algo, witness.robots, NO_MUTATIONS)
+    pos = [s.position for s in witness.robots]
+    codes = _normal_codes(table, witness.robots)
+    occupied, always = _mask_of(pos), full
+    for t, edges in enumerate(witness.absent):
+        if t == witness.path_length:
+            entry = (pos, codes)
+        absent = _mask_of(edges)
+        if t >= witness.path_length:
+            always &= absent
+        ports = _ports(full & ~absent, n)
+        moves = [table.after(code, pos.count(p), ports >> p & 3) for p, code in zip(pos, codes)]
+        pos = [(p + step) % n for p, (_, step) in zip(pos, moves)]
+        codes = tuple(code for code, _ in moves)
+        occupied |= _mask_of(pos)
+    if (pos, codes) != entry:
+        raise ValueError(
+            f"cycle_length {witness.cycle_length}: the configuration after path_length + "
+            "cycle_length rounds is not the one after path_length rounds"
+        )
+    for key, claimed, shown in (
+        ("cycle_always_absent", witness.cycle_always_absent, always),
+        ("starved_nodes", witness.starved_nodes, full & ~occupied),
+    ):
+        if _mask_of(claimed) != shown:
+            raise ValueError(
+                f"{key} {_dumps(list(claimed))} is not what the round records show: "
+                f"{_dumps(list(_bits(shown, n)))}"
+            )
+
+
 def read_witness(lines) -> Witness:
     """Parse a witness file; malformed input raises ValueError naming the line.
 
     The header must declare a cycle of at least one round, and exactly its
     `path_length + cycle_length` round records must follow, `t` = 0, 1, ...
-    in order; a shortfall is an error on the header's line.
+    in order; a shortfall is an error on the header's line.  The header's
+    claims about the play are checked against one replay of it
+    (`_check_play`), and a disagreement is an error on the header's line.
     """
     it = iter(lines)
     lineno = 1
@@ -522,6 +572,9 @@ def read_witness(lines) -> Witness:
                 f"path_length + cycle_length is {rounds} rounds but the file holds "
                 f"{len(witness.absent)} round records"
             )
+        lineno = 1
+        check_cohort(n, witness.algo, robots)
+        _check_play(witness)
         return witness
     except KeyError as exc:
         raise ValueError(f"witness line {lineno}: missing field {exc}") from None

@@ -1,11 +1,12 @@
-"""Footprint rings and round-indexed edge schedules.
+"""Dynamic rings as round-indexed edge schedules.
 
-The footprint is a ring of n >= 3 anonymous nodes; edge k joins node k
-and node (k+1) mod n, and clockwise is the direction of increasing node
-index.  An evolving ring presents, at every round t, a subset of the
-footprint edges.  Schedules are deterministic generators (pure in their
-seed and parameters) so that infinite-horizon semantics are well defined
-while any prefix can be materialized and inspected.
+A ring has n >= 3 anonymous nodes; edge k joins node k and node
+(k+1) mod n, and clockwise is the direction of increasing node index.
+A `Schedule` is the ring's presence function: for every round t, the
+bitmask of the edges present in round t (bit k for edge k).  Schedules are
+deterministic generators (pure in their seed and parameters) so that
+infinite-horizon semantics are well defined while any prefix can be
+materialized and inspected.
 
 Edge classes, from most to least constrained: static (every edge present
 every round), edge-recurrent (every edge present infinitely often, here
@@ -18,37 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """Static ring of n nodes; also the universe of edge indices 0..n-1."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"ring size must be >= 3, got {self.n}")
-
-    def edge_endpoints(self, k: int) -> tuple[int, int]:
-        return k, (k + 1) % self.n
-
-    def cw_edge(self, node: int) -> int:
-        """Edge crossed when leaving `node` clockwise."""
-        return node
-
-    def ccw_edge(self, node: int) -> int:
-        """Edge crossed when leaving `node` counter-clockwise."""
-        return (node - 1) % self.n
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
 
 class Schedule:
@@ -57,22 +33,9 @@ class Schedule:
     n: int
 
     def masks(self, horizon: int) -> list[int]:
-        """Present-edge bitmasks for rounds 0..horizon-1."""
+        """Present-edge bitmasks for rounds 0..horizon-1, as a new list
+        that the caller may change."""
         raise NotImplementedError
-
-    def mask_at(self, t: int) -> int:
-        """Present-edge bitmask for round t, as `masks` gives it.
-
-        Served from a cached prefix that at least doubles whenever `t` is
-        past it, so reading rounds one at a time costs O(log t) `masks`
-        calls rather than one per round.
-        """
-        if t < 0:
-            raise ValueError(f"round index must be >= 0, got {t}")
-        prefix = self.__dict__.get("_mask_prefix", [])
-        if t >= len(prefix):
-            prefix = self._mask_prefix = self.masks(max(t + 1, 2 * len(prefix)))
-        return prefix[t]
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -157,24 +120,58 @@ class RecurrentRandomSchedule(Schedule):
         }
 
 
-class EventualMissingSchedule(Schedule):
-    """An inner schedule with one edge forced absent from a cutoff round on."""
+class RemovalSchedule(Schedule):
+    """Inner schedule with the removal operator applied.
 
-    def __init__(self, inner: Schedule, missing_edge: int, cutoff: int):
-        if not 0 <= missing_edge < inner.n:
-            raise ValueError(f"missing edge {missing_edge} outside footprint 0..{inner.n - 1}")
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    Each removal `(edge, start, end)` takes `edge` away over the closed
+    round interval [start, end], and `end` may be INF.  Edge e is present
+    at t in the result iff it is present in the inner schedule and no
+    removal of e covers t.  The triples are kept as given.
+    """
+
+    def __init__(self, inner: Schedule, removals: Iterable[tuple[int, int, float]]):
         self.n = inner.n
         self.inner = inner
-        self.missing_edge = missing_edge
-        self.cutoff = cutoff
-        self._clear = ~(1 << missing_edge)
-        forced_missing_edge(self)  # rejects a second edge missing forever
+        self.removals = tuple((edge, start, end) for edge, start, end in removals)
+        for edge, start, end in self.removals:
+            if not isinstance(edge, Integral) or not 0 <= edge < self.n:
+                raise ValueError(f"unknown edge index {edge} for ring of size {self.n}")
+            if start < 0:
+                raise ValueError(f"removal start must be >= 0, got {start}")
+            if end < start:
+                raise ValueError(f"removal interval [{start},{end}] is empty")
 
     def masks(self, horizon: int) -> list[int]:
         out = self.inner.masks(horizon)
-        return [m & self._clear if t >= self.cutoff else m for t, m in enumerate(out)]
+        for edge, start, end in self.removals:
+            lo = math.ceil(start)
+            hi = horizon if end == INF else min(math.floor(end) + 1, horizon)
+            if lo < hi:
+                clear = ~(1 << edge)
+                out[lo:hi] = [m & clear for m in out[lo:hi]]
+        return out
+
+    def describe(self) -> dict:
+        # The inner description is nested, not merged, so that the kind of
+        # the schedule underneath (an eventual missing edge, say) survives.
+        return {
+            "kind": "removal_list",
+            "removals": [
+                [edge, start, "inf" if end == INF else end] for edge, start, end in self.removals
+            ],
+            "inner": self.inner.describe(),
+        }
+
+
+class EventualMissingSchedule(RemovalSchedule):
+    """An inner schedule with one edge forced absent from a cutoff round on:
+    the single removal `(missing_edge, cutoff, INF)`."""
+
+    def __init__(self, inner: Schedule, missing_edge: int, cutoff: int):
+        super().__init__(inner, [(missing_edge, cutoff, INF)])
+        self.missing_edge = missing_edge
+        self.cutoff = cutoff
+        forced_missing_edge(self)  # rejects a second edge missing forever
 
     def describe(self) -> dict:
         d = self.inner.describe()
@@ -202,10 +199,8 @@ def forced_missing_edge(schedule: Schedule) -> int | None:
     edges: set[int] = set()
     s: Schedule | None = schedule
     while s is not None:
-        if isinstance(s, EventualMissingSchedule):
-            edges.add(s.missing_edge)
-        elif isinstance(s, RemovalSchedule):
-            edges.update(edge for edge, _, end in s.spec.items if end == INF)
+        if isinstance(s, RemovalSchedule):
+            edges.update(edge for edge, _, end in s.removals if end == INF)
         s = getattr(s, "inner", None)
     if len(edges) > 1:
         raise ValueError(
@@ -213,103 +208,6 @@ def forced_missing_edge(schedule: Schedule) -> int | None:
             f"(forced missing: {sorted(edges)})"
         )
     return next(iter(edges), None)
-
-
-@dataclass(frozen=True)
-class EdgeRemovalSpec:
-    """List of (edge, round interval) removals; closed intervals, end may be inf."""
-
-    items: tuple[tuple[int, int, float], ...]
-
-    @staticmethod
-    def of(pairs: Iterable[tuple[int, int, float]]) -> "EdgeRemovalSpec":
-        items = []
-        for edge, start, end in pairs:
-            if start < 0:
-                raise ValueError(f"removal start must be >= 0, got {start}")
-            if end < start:
-                raise ValueError(f"removal interval [{start},{end}] is empty")
-            items.append((edge, start, end))
-        return EdgeRemovalSpec(tuple(items))
-
-    def validate_against(self, footprint: Footprint) -> None:
-        for edge, _, _ in self.items:
-            if not 0 <= edge < footprint.n:
-                raise ValueError(f"unknown edge index {edge} for ring of size {footprint.n}")
-
-    def union(self, other: "EdgeRemovalSpec") -> "EdgeRemovalSpec":
-        return EdgeRemovalSpec(self.items + other.items)
-
-
-class RemovalSchedule(Schedule):
-    """Inner schedule with the removal operator applied.
-
-    Edge e is present at t in the result iff it is present in the inner
-    schedule and no removal pair (e, interval) covers t.
-    """
-
-    def __init__(self, inner: Schedule, spec: EdgeRemovalSpec):
-        self.n = inner.n
-        self.inner = inner
-        self.spec = spec
-
-    def _removed_mask(self, t: int) -> int:
-        m = 0
-        for edge, start, end in self.spec.items:
-            if start <= t <= end:
-                m |= 1 << edge
-        return m
-
-    def masks(self, horizon: int) -> list[int]:
-        out = self.inner.masks(horizon)
-        return [m & ~self._removed_mask(t) for t, m in enumerate(out)]
-
-    def describe(self) -> dict:
-        # The inner description is nested, not merged, so that the kind of
-        # the schedule underneath (an eventual missing edge, say) survives.
-        return {
-            "kind": "removal_list",
-            "removals": [
-                [edge, start, "inf" if end == INF else end] for edge, start, end in self.spec.items
-            ],
-            "inner": self.inner.describe(),
-        }
-
-
-@dataclass
-class EvolvingRing:
-    """A footprint plus a total round-indexed edge schedule."""
-
-    footprint: Footprint
-    schedule: Schedule
-
-    def __post_init__(self) -> None:
-        if self.schedule.n != self.footprint.n:
-            raise ValueError("schedule and footprint sizes disagree")
-
-    @property
-    def n(self) -> int:
-        return self.footprint.n
-
-    def edges_at(self, t: int) -> frozenset[int]:
-        mask = self.schedule.mask_at(t)
-        return frozenset(e for e in range(self.n) if mask >> e & 1)
-
-    def mask_at(self, t: int) -> int:
-        return self.schedule.mask_at(t)
-
-    def masks(self, horizon: int) -> list[int]:
-        return self.schedule.masks(horizon)
-
-
-def static_ring(n: int) -> EvolvingRing:
-    return EvolvingRing(Footprint(n), StaticSchedule(n))
-
-
-def remove(ring: EvolvingRing, spec: EdgeRemovalSpec) -> EvolvingRing:
-    """Apply the removal operator, yielding a new evolving ring."""
-    spec.validate_against(ring.footprint)
-    return EvolvingRing(ring.footprint, RemovalSchedule(ring.schedule, spec))
 
 
 class EdgeClass(Enum):
@@ -337,7 +235,7 @@ class ClassifyReport:
     missing_candidates: dict[int, int] = field(default_factory=dict)  # edge -> cutoff
 
 
-def classify_prefix(ring: EvolvingRing, horizon: int, recurrence_bound: int) -> ClassifyReport:
+def classify_prefix(schedule: Schedule, horizon: int, recurrence_bound: int) -> ClassifyReport:
     """Scan rounds [0, horizon) and report per-edge witnesses plus a verdict.
 
     An edge is a static witness if present every round, a recurrence
@@ -348,8 +246,8 @@ def classify_prefix(ring: EvolvingRing, horizon: int, recurrence_bound: int) -> 
     """
     if not horizon >= recurrence_bound >= 1:
         raise ValueError("need horizon >= recurrence_bound >= 1")
-    n = ring.n
-    masks = ring.masks(horizon)
+    n = schedule.n
+    masks = schedule.masks(horizon)
     report = ClassifyReport(horizon=horizon, recurrence_bound=recurrence_bound)
     for e in range(n):
         max_run = 0

@@ -17,7 +17,6 @@ from .directions import Chirality, Direction
 from .engine import ALGO_PEF2, ALGO_PEF3, MAX_N, Trace, fuzz_initial, run_states
 from .ring_model import (
     INF,
-    EdgeRemovalSpec,
     EventualMissingSchedule,
     RecurrentRandomSchedule,
     RemovalSchedule,
@@ -179,11 +178,11 @@ def build_schedule(sc: Scenario) -> Schedule:
         inner = RecurrentRandomSchedule(sc.n, sc.p, sc.recurrence_bound, sc.seed)
         base = EventualMissingSchedule(inner, sc.missing_edge, sc.cutoff)
     elif sc.schedule == "removal_list":
-        base = RemovalSchedule(StaticSchedule(sc.n), EdgeRemovalSpec.of(sc.removals))
+        base = RemovalSchedule(StaticSchedule(sc.n), sc.removals)
     else:  # pragma: no cover - validate() rejects earlier
         raise ScenarioError({"schedule": sc.schedule})
     if sc.removals and sc.schedule != "removal_list":
-        base = RemovalSchedule(base, EdgeRemovalSpec.of(sc.removals))
+        base = RemovalSchedule(base, sc.removals)
     forced_missing_edge(base)  # rejects rings outside connected-over-time
     return base
 

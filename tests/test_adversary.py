@@ -16,8 +16,6 @@ from ringsweep.engine import RunView, _LocalTable, _mask_of, _ports, fuzz_initia
 from ringsweep.ring_model import (
     EdgeClass,
     EventualMissingSchedule,
-    EvolvingRing,
-    Footprint,
     RecurrentRandomSchedule,
     StaticSchedule,
     classify_prefix,
@@ -39,24 +37,30 @@ def facing_pair(n=4):
 
 
 def recurrent_ring(n, p, bound, seed):
-    return EvolvingRing(Footprint(n), RecurrentRandomSchedule(n, p, bound, seed))
+    return RecurrentRandomSchedule(n, p, bound, seed)
 
 
 def eventual_missing_ring(n, missing_edge, cutoff, seed):
     inner = RecurrentRandomSchedule(n, 0.5, 8, seed)
-    return EvolvingRing(Footprint(n), EventualMissingSchedule(inner, missing_edge, cutoff))
+    return EventualMissingSchedule(inner, missing_edge, cutoff)
+
+
+def edges_at(schedule, t):
+    """The edges present in round t: the set bits of `masks(t + 1)[t]`."""
+    mask = schedule.masks(t + 1)[t]
+    return frozenset(e for e in range(schedule.n) if mask >> e & 1)
 
 
 class TestScheduleBuilders:
     def test_recurrent_random_p1_static(self):
         ring = recurrent_ring(4, 1.0, 8, 1)
-        assert ring.edges_at(99) == frozenset({0, 1, 2, 3})
+        assert edges_at(ring, 99) == frozenset({0, 1, 2, 3})
 
     def test_recurrent_random_p0_pure_patching(self):
         ring = recurrent_ring(4, 0.0, 3, 1)
         for t in range(9):
             expected = frozenset({0, 1, 2, 3}) if (t + 1) % 3 == 0 else frozenset()
-            assert ring.edges_at(t) == expected
+            assert edges_at(ring, t) == expected
 
     def test_eventual_missing_classifies_connected_over_time(self):
         ring = eventual_missing_ring(5, 2, 0, seed=9)
@@ -67,7 +71,7 @@ class TestScheduleBuilders:
     def test_eventual_missing_rejects_second_edge(self):
         ring = eventual_missing_ring(5, 2, 0, seed=9)
         with pytest.raises(ValueError, match="at most one"):
-            EventualMissingSchedule(ring.schedule, 4, 0)
+            EventualMissingSchedule(ring, 4, 0)
 
 
 def view_for(n, positions):
@@ -501,8 +505,9 @@ class TestGameSearch:
         # nrpea up to 2k, so the normalization at the start is exercised
         # too.  Every witness replays exactly as the reference policy does,
         # column for column, over one round, the path and one turn of the
-        # cycle, three turns, and 5,000 rounds; and its cycle brings back
-        # the configuration it entered with, unrotated.
+        # cycle, three turns, and 5,000 rounds; its cycle brings back the
+        # configuration it entered with, unrotated; and it reads back from
+        # its file.
         rng = random.Random(13_013)
         seen = {"n": set(), "k": set(), "max_absent": set(), "verdict": set(), "algo": set()}
         witnesses = 0
@@ -522,6 +527,10 @@ class TestGameSearch:
                 assert (w.path_length, w.cycle_length) == (ref.path_length, ref.cycle_length), case
                 assert w.starved_nodes == ref.starved_nodes, case
                 assert w.cycle_always_absent == ref.cycle_always_absent, case
+                # Reading the file back replays the play to check the header.
+                buf = io.StringIO()
+                adv.write_witness(w, buf)
+                assert adv.read_witness(buf.getvalue().splitlines()) == w, case
                 lo, cycle = w.path_length, w.cycle_length
                 for rounds in (1, lo + cycle, lo + 3 * cycle, 5_000):
                     trace, expected = adv.replay_witness(w, rounds), policy_replay(ref, rounds)

@@ -14,7 +14,6 @@ from ringsweep.directions import Chirality, Direction
 from ringsweep.engine import ALGO_PEF2, ALGO_PEF3, Trace, fuzz_initial, run_states
 from ringsweep.ring_model import (
     INF,
-    EdgeRemovalSpec,
     EventualMissingSchedule,
     RecurrentRandomSchedule,
     RemovalSchedule,
@@ -56,9 +55,7 @@ class TestTowers:
     def test_stacked_without_edges_then_separation_is_short_lived(self):
         # Both edges of node 1 absent for rounds 0..4; at round 5 the
         # clockwise edge appears, one robot crosses, the other is blocked.
-        sched = RemovalSchedule(
-            StaticSchedule(4), EdgeRemovalSpec.of([(0, 0, 4), (1, 0, 4), (0, 5, INF)])
-        )
+        sched = RemovalSchedule(StaticSchedule(4), [(0, 0, 4), (1, 0, 4), (0, 5, INF)])
         robots = [
             RobotState.make(0, 1, R, CW, nrpea=1, hmpea=True),  # points at edge 1
             RobotState.make(1, 1, L, CW, nrpea=1, hmpea=True),  # points at edge 0
@@ -429,7 +426,7 @@ def fuzzed_trace(case: int) -> Trace:
             for _ in range(rng.randint(1, 3))
         ]
         inner = sched if rng.random() < 0.5 else StaticSchedule(n)
-        sched = RemovalSchedule(inner, EdgeRemovalSpec.of(spec))
+        sched = RemovalSchedule(inner, spec)
     states = fuzz_initial(n, rng.sample(range(6), k), rng)
     trace = run_states(n, algo, states, rng.randint(100, 400), schedule=sched, mutations=mutations)
     for _ in range(rng.choice((0, 0, 1, 3, 10))):
@@ -656,7 +653,7 @@ class TestCoverage:
 
     def test_starved_node_reported(self):
         # A lone robot pinned by a permanently missing edge in front of it.
-        sched = RemovalSchedule(StaticSchedule(4), EdgeRemovalSpec.of([(1, 0, INF)]))
+        sched = RemovalSchedule(StaticSchedule(4), [(1, 0, INF)])
         robots = [RobotState.make(0, 1, R, CW, nrpea=1, hmpea=True)]
         trace = run_states(4, "pef3", robots, 50, schedule=sched)
         report = analysis.coverage(trace, 0)
@@ -685,9 +682,7 @@ class TestCoherence:
     def test_blocked_node_delays_coherence(self):
         # Both edges of node 0 absent during rounds 0..8: first
         # edge-activation at round 9, coherent from round 10.
-        sched = RemovalSchedule(
-            StaticSchedule(4), EdgeRemovalSpec.of([(0, 0, 8), (3, 0, 8)])
-        )
+        sched = RemovalSchedule(StaticSchedule(4), [(0, 0, 8), (3, 0, 8)])
         robots = [RobotState.make(0, 0, R, CW), RobotState.make(1, 2, R, CW)]
         trace = run_states(4, "pef3", robots, 30, schedule=sched)
         assert analysis.coherence_round(trace, 0) == 10
@@ -695,9 +690,7 @@ class TestCoherence:
         assert analysis.trace_t_max(trace) == 10
 
     def test_never_activated_reports_none(self):
-        sched = RemovalSchedule(
-            StaticSchedule(4), EdgeRemovalSpec.of([(0, 0, INF), (3, 0, INF)])
-        )
+        sched = RemovalSchedule(StaticSchedule(4), [(0, 0, INF), (3, 0, INF)])
         robots = [RobotState.make(0, 0, R, CW)]
         trace = run_states(4, "pef3", robots, 20, schedule=sched)
         assert analysis.coherence_round(trace, 0) is None
@@ -753,7 +746,7 @@ class TestMonitors:
         violations = analysis.monitor_lemmas(trace)
         assert any(v.monitor == "coherence" for v in violations)
         # No edge in round 0, so round 0 must keep the header's variables.
-        sched = RemovalSchedule(StaticSchedule(4), EdgeRemovalSpec.of([(e, 0, 0) for e in range(4)]))
+        sched = RemovalSchedule(StaticSchedule(4), [(e, 0, 0) for e in range(4)])
         robots = [RobotState.make(0, 0, nrpea=2), RobotState.make(1, 2, i=3)]
         for key, value in (("nrpea", 5), ("i", 9)):
             trace = run_states(4, "pef3", robots, 10, schedule=sched)
@@ -765,10 +758,7 @@ class TestMonitors:
     def _frozen_cohort_view(self):
         # Edge-activated once at round 0 (one counter-clockwise move),
         # frozen afterwards on nodes {3, 0, 1}: node 2 starves.
-        sched = RemovalSchedule(
-            StaticSchedule(4),
-            EdgeRemovalSpec.of([(e, 1, INF) for e in range(4)]),
-        )
+        sched = RemovalSchedule(StaticSchedule(4), [(e, 1, INF) for e in range(4)])
         robots = [
             RobotState.make(0, 0, L, CW, nrpea=1, hmpea=True),
             RobotState.make(1, 1, L, CW, nrpea=1, hmpea=True),
@@ -880,9 +870,7 @@ class TestMonitors:
         assert flagged > 50
 
     def test_pef2_no_new_two_long_lived_monitor(self):
-        sched = RemovalSchedule(
-            StaticSchedule(4), EdgeRemovalSpec.of([(e, 1, INF) for e in range(4)])
-        )
+        sched = RemovalSchedule(StaticSchedule(4), [(e, 1, INF) for e in range(4)])
         robots = [
             RobotState.make(0, 0, L, CW, nrpea=1, hmpea=True),
             RobotState.make(1, 1, L, CW, nrpea=1, hmpea=True),
@@ -920,7 +908,7 @@ class TestSentinelReport:
 
     def test_declared_edge_under_removals_is_found(self):
         inner = EventualMissingSchedule(RecurrentRandomSchedule(5, 0.5, 8, 17), 2, 0)
-        sched = RemovalSchedule(inner, EdgeRemovalSpec.of([(0, 5, 10)]))
+        sched = RemovalSchedule(inner, [(0, 5, 10)])
         states = fuzz_initial(5, [0, 1, 2], random.Random(17))
         trace = run_states(5, "pef3", states, 3000, schedule=sched,
                            meta_extra={"schedule": sched.describe()})

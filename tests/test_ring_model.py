@@ -1,5 +1,4 @@
-"""Footprints, schedules, the removal operator and prefix classification."""
-import math
+"""Schedules, the removal operator and prefix classification."""
 import random
 
 import pytest
@@ -7,82 +6,153 @@ import pytest
 from ringsweep.ring_model import (
     INF,
     EdgeClass,
-    EdgeRemovalSpec,
     EventualMissingSchedule,
-    EvolvingRing,
-    Footprint,
     RecurrentRandomSchedule,
     RemovalSchedule,
+    Schedule,
     StaticSchedule,
     classify_prefix,
     forced_missing_edge,
-    remove,
-    static_ring,
 )
 
 GOLDEN_RECURRENT_N5_P05_B8_SEED11 = [8, 11, 8, 29, 29, 20, 26, 11, 25, 18, 20, 16, 8, 19, 21, 4]
 
 
-def test_footprint_validation_and_edges():
-    with pytest.raises(ValueError):
-        Footprint(2)
-    fp = Footprint(5)
-    assert fp.edge_endpoints(4) == (4, 0)
-    assert fp.cw_edge(3) == 3
-    assert fp.ccw_edge(0) == 4
-    assert fp.full_mask == 0b11111
+def edges_at(schedule: Schedule, t: int) -> frozenset[int]:
+    """The edges present in round t: the set bits of `masks(t + 1)[t]`."""
+    mask = schedule.masks(t + 1)[t]
+    return frozenset(e for e in range(schedule.n) if mask >> e & 1)
 
 
 def test_static_edges_at():
-    ring = static_ring(4)
-    assert ring.edges_at(17) == frozenset({0, 1, 2, 3})
+    assert edges_at(StaticSchedule(4), 17) == frozenset({0, 1, 2, 3})
 
 
 def test_removal_operator_examples():
-    ring = static_ring(4)
-    spec = EdgeRemovalSpec.of([(2, 5, INF)])
-    removed = remove(ring, spec)
-    assert removed.edges_at(4) == frozenset({0, 1, 2, 3})
-    assert removed.edges_at(5) == frozenset({0, 1, 3})
-    assert removed.edges_at(10_000) == frozenset({0, 1, 3})
+    removed = RemovalSchedule(StaticSchedule(4), [(2, 5, INF)])
+    assert edges_at(removed, 4) == frozenset({0, 1, 2, 3})
+    assert edges_at(removed, 5) == frozenset({0, 1, 3})
+    assert edges_at(removed, 10_000) == frozenset({0, 1, 3})
 
 
 def test_removal_empty_spec_is_identity():
-    ring = static_ring(4)
-    removed = remove(ring, EdgeRemovalSpec.of([]))
+    ring = StaticSchedule(4)
+    removed = RemovalSchedule(ring, [])
     for t in range(20):
-        assert removed.edges_at(t) == ring.edges_at(t)
+        assert edges_at(removed, t) == edges_at(ring, t)
 
 
 def test_removal_permanent_from_zero():
-    ring = remove(static_ring(4), EdgeRemovalSpec.of([(0, 0, INF)]))
-    assert ring.edges_at(100) == frozenset({1, 2, 3})
+    ring = RemovalSchedule(StaticSchedule(4), [(0, 0, INF)])
+    assert edges_at(ring, 100) == frozenset({1, 2, 3})
 
 
 def test_removal_twice_disjoint_equals_union():
-    base = static_ring(5)
-    a = EdgeRemovalSpec.of([(0, 2, 4), (3, 0, 1)])
-    b = EdgeRemovalSpec.of([(1, 7, INF)])
-    twice = remove(remove(base, a), b)
-    once = remove(base, a.union(b))
+    base = StaticSchedule(5)
+    a = [(0, 2, 4), (3, 0, 1)]
+    b = [(1, 7, INF)]
+    twice = RemovalSchedule(RemovalSchedule(base, a), b)
+    once = RemovalSchedule(base, a + b)
     for t in range(30):
-        assert twice.edges_at(t) == once.edges_at(t)
+        assert edges_at(twice, t) == edges_at(once, t)
 
 
 def test_removal_unknown_edge_rejected():
-    with pytest.raises(ValueError, match="unknown edge"):
-        remove(static_ring(4), EdgeRemovalSpec.of([(7, 0, INF)]))
+    # Rejected when the schedule is built, not later in `masks`.
+    for edge in (7, -1, 4, 1.0):
+        with pytest.raises(ValueError, match="unknown edge"):
+            RemovalSchedule(StaticSchedule(4), [(edge, 0, INF)])
+    for removal in ((0, -1, 5), (0, 6, 5)):
+        with pytest.raises(ValueError, match="removal"):
+            RemovalSchedule(StaticSchedule(4), [removal])
 
 
 def test_removal_result_is_subset():
     rng = random.Random(2)
-    base = EvolvingRing(Footprint(6), RecurrentRandomSchedule(6, 0.6, 5, 77))
-    spec = EdgeRemovalSpec.of(
-        [(rng.randrange(6), rng.randrange(40), rng.randrange(40, 90)) for _ in range(4)]
-    )
-    removed = remove(base, spec)
+    base = RecurrentRandomSchedule(6, 0.6, 5, 77)
+    spec = [(rng.randrange(6), rng.randrange(40), rng.randrange(40, 90)) for _ in range(4)]
+    removed = RemovalSchedule(base, spec)
     for t in range(100):
-        assert removed.edges_at(t) <= base.edges_at(t)
+        assert edges_at(removed, t) <= edges_at(base, t)
+
+
+def removed_reference(inner_masks: list[int], removals) -> list[int]:
+    """Round by round: clear every edge whose removal interval covers t."""
+    out = []
+    for t, mask in enumerate(inner_masks):
+        for edge, start, end in removals:
+            if start <= t <= end:
+                mask &= ~(1 << edge)
+        out.append(mask)
+    return out
+
+
+def test_removal_masks_match_round_by_round_reference():
+    # Overlapping intervals, INF and float ends, starts and ends past the
+    # horizon, and chains of removals over a recurrent schedule.
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randrange(3, 8)
+        horizon = rng.randrange(1, 120)
+        inner = RecurrentRandomSchedule(n, rng.random(), rng.randrange(1, 9), rng.randrange(99))
+        inner_masks = inner.masks(horizon)
+        expected = list(inner_masks)
+        sched: Schedule = inner
+        for _ in range(rng.randrange(1, 4)):
+            removals = []
+            for _ in range(rng.randrange(0, 5)):
+                start = rng.randrange(horizon + 20)
+                end = rng.choice([INF, float(start + rng.randrange(30)), start + rng.randrange(30)])
+                removals.append((rng.randrange(n), start, end))
+            sched = RemovalSchedule(sched, removals)
+            expected = removed_reference(expected, removals)
+            assert sched.removals == tuple(removals)
+            assert sched.describe()["removals"] == [
+                [e, s, "inf" if x == INF else x] for e, s, x in removals
+            ]
+        assert sched.masks(horizon) == expected
+        # Removals clear a new list, never the inner schedule's own rounds.
+        assert inner.masks(horizon) == inner_masks
+
+
+class EventualMissingReference(Schedule):
+    """The eventual-missing schedule as it was before it became a removal:
+    its own `masks` and `describe`."""
+
+    def __init__(self, inner: Schedule, missing_edge: int, cutoff: int):
+        self.n = inner.n
+        self.inner = inner
+        self.missing_edge = missing_edge
+        self.cutoff = cutoff
+        self._clear = ~(1 << missing_edge)
+
+    def masks(self, horizon: int) -> list[int]:
+        out = self.inner.masks(horizon)
+        return [m & self._clear if t >= self.cutoff else m for t, m in enumerate(out)]
+
+    def describe(self) -> dict:
+        d = self.inner.describe()
+        d.update(
+            {"kind": "eventual_missing", "missing_edge": self.missing_edge, "cutoff": self.cutoff}
+        )
+        return d
+
+
+def test_eventual_missing_matches_reference():
+    rng = random.Random(7)
+    for _ in range(40):
+        n, p, bound = rng.randrange(3, 9), rng.random(), rng.randrange(1, 9)
+        seed = rng.randrange(99)
+        edge, cutoff = rng.randrange(n), rng.randrange(60)
+        horizon = rng.randrange(1, 100)
+        got = EventualMissingSchedule(RecurrentRandomSchedule(n, p, bound, seed), edge, cutoff)
+        ref = EventualMissingReference(RecurrentRandomSchedule(n, p, bound, seed), edge, cutoff)
+        assert got.masks(horizon) == ref.masks(horizon)
+        assert got.describe() == ref.describe()
+        assert (got.inner.describe(), got.missing_edge, got.cutoff) == (
+            ref.inner.describe(), edge, cutoff,
+        )
+        assert forced_missing_edge(got) == edge
 
 
 def test_recurrent_p1_is_static():
@@ -107,26 +177,9 @@ def test_recurrent_golden_prefix():
 def test_recurrent_reproducible_and_query_order_independent():
     bulk = RecurrentRandomSchedule(7, 0.4, 6, 123).masks(5000)
     incremental = RecurrentRandomSchedule(7, 0.4, 6, 123)
-    got = [incremental.mask_at(t) for t in range(5000)]
-    assert got == bulk
-
-
-def test_mask_at_reads_rounds_in_logarithmically_many_masks_calls():
-    rounds = 20_000
-    bulk = EventualMissingSchedule(RecurrentRandomSchedule(6, 0.5, 8, 1), 2, 100).masks(rounds)
-    sched = EventualMissingSchedule(RecurrentRandomSchedule(6, 0.5, 8, 1), 2, 100)
-    horizons = []
-    masks = sched.masks
-
-    def spy(horizon):
-        horizons.append(horizon)
-        return masks(horizon)
-
-    sched.masks = spy
-    assert [sched.mask_at(t) for t in range(rounds)] == bulk
-    assert len(horizons) <= math.ceil(math.log2(rounds)) + 2, horizons
-    with pytest.raises(ValueError, match=">= 0"):
-        sched.mask_at(-1)
+    # Growing horizons, across the materialization blocks' boundaries.
+    for horizon in (1, 2, 3, 100, 2047, 2048, 2049, 3000, 4095, 4097, 5000):
+        assert incremental.masks(horizon) == bulk[:horizon]
 
 
 @pytest.mark.parametrize("p,bound,seed", [(0.5, 8, 11), (0.1, 4, 9), (0.0, 6, 1)])
@@ -146,15 +199,16 @@ def test_recurrent_bound_witnessed_by_scan(p, bound, seed):
 def test_eventual_missing_forces_absence():
     inner = RecurrentRandomSchedule(5, 0.5, 8, 2)
     sched = EventualMissingSchedule(inner, 2, cutoff=10)
+    masks, inner_masks = sched.masks(200), inner.masks(200)
     for t in range(10):
-        assert sched.mask_at(t) == inner.mask_at(t)
+        assert masks[t] == inner_masks[t]
     for t in range(10, 200):
-        assert not sched.mask_at(t) >> 2 & 1
+        assert not masks[t] >> 2 & 1
 
 
 def test_eventual_missing_from_round_zero():
     sched = EventualMissingSchedule(StaticSchedule(4), 0, cutoff=0)
-    assert sched.mask_at(0) == 0b1110
+    assert sched.masks(1) == [0b1110]
 
 
 def test_second_forced_missing_edge_rejected():
@@ -165,26 +219,24 @@ def test_second_forced_missing_edge_rejected():
     EventualMissingSchedule(inner, 1, cutoff=5)
     # The rule holds on the whole chain, removals included.
     for chain in (
-        RemovalSchedule(inner, EdgeRemovalSpec.of([(3, 0, INF)])),
-        RemovalSchedule(StaticSchedule(5), EdgeRemovalSpec.of([(0, 0, INF), (2, 0, INF)])),
+        RemovalSchedule(inner, [(3, 0, INF)]),
+        RemovalSchedule(StaticSchedule(5), [(0, 0, INF), (2, 0, INF)]),
     ):
         with pytest.raises(ValueError, match="at most one"):
             forced_missing_edge(chain)
-    assert forced_missing_edge(RemovalSchedule(inner, EdgeRemovalSpec.of([(1, 4, INF)]))) == 1
+    assert forced_missing_edge(RemovalSchedule(inner, [(1, 4, INF)])) == 1
 
 
 def test_classify_static():
-    report = classify_prefix(static_ring(4), 100, 8)
+    report = classify_prefix(StaticSchedule(4), 100, 8)
     assert report.verdict is EdgeClass.STATIC
     assert report.static_edges == {0, 1, 2, 3}
     assert report.provisional
 
 
 def test_classify_eventual_missing_candidate():
-    removed = remove(static_ring(4), EdgeRemovalSpec.of([(2, 10, INF)]))
-    recurrent_inner = EvolvingRing(
-        Footprint(5), EventualMissingSchedule(RecurrentRandomSchedule(5, 0.5, 8, 9), 2, cutoff=0)
-    )
+    removed = RemovalSchedule(StaticSchedule(4), [(2, 10, INF)])
+    recurrent_inner = EventualMissingSchedule(RecurrentRandomSchedule(5, 0.5, 8, 9), 2, cutoff=0)
     for ring, horizon, candidates in ((removed, 100, {2: 10}), (recurrent_inner, 500, {2: 0})):
         report = classify_prefix(ring, horizon, 8)
         assert report.verdict is EdgeClass.CONNECTED_OVER_TIME
@@ -192,7 +244,7 @@ def test_classify_eventual_missing_candidate():
 
 
 def test_classify_recurrent_with_witness():
-    ring = EvolvingRing(Footprint(5), RecurrentRandomSchedule(5, 0.5, 8, 11))
+    ring = RecurrentRandomSchedule(5, 0.5, 8, 11)
     report = classify_prefix(ring, 2000, 8)
     assert report.verdict is EdgeClass.EDGE_RECURRENT
     assert report.recurrent_edges == {0, 1, 2, 3, 4}
@@ -200,7 +252,7 @@ def test_classify_recurrent_with_witness():
 
 
 def test_classify_two_missing_edges_breaks_ring_class():
-    ring = remove(static_ring(5), EdgeRemovalSpec.of([(0, 5, INF), (2, 5, INF)]))
+    ring = RemovalSchedule(StaticSchedule(5), [(0, 5, INF), (2, 5, INF)])
     report = classify_prefix(ring, 200, 8)
     assert report.verdict is None
     assert set(report.missing_candidates) == {0, 2}
@@ -208,11 +260,11 @@ def test_classify_two_missing_edges_breaks_ring_class():
 
 def test_class_containment_on_static_prefix():
     # Static witnesses also satisfy the weaker class conditions.
-    report = classify_prefix(static_ring(4), 64, 8)
+    report = classify_prefix(StaticSchedule(4), 64, 8)
     assert report.static_edges <= report.recurrent_edges
     assert not report.missing_candidates
 
 
 def test_classify_validates_horizon():
     with pytest.raises(ValueError):
-        classify_prefix(static_ring(4), 4, 8)
+        classify_prefix(StaticSchedule(4), 4, 8)

@@ -401,6 +401,9 @@ class TestCli:
             ("witness", (0, "n", Put("4"))),
             ("witness", (0, "robots", Put(5))),
             ("witness", (1, Put([1]))),
+            # Header claims that the play does not show:
+            ("witness", (0, "starved_nodes", Put([0]))),
+            ("witness", (0, "cycle_always_absent", Put([]))),
             *((argv[0], argv[1:]) for argv in BAD_COMMAND_LINES),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
@@ -468,6 +471,34 @@ class TestCli:
             capsys.readouterr()
             assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "5"]) == 2
             assert message in capsys.readouterr().err
+
+    def test_witness_header_claims_must_match_the_play(self, tmp_path, capsys):
+        # The facing pair's play starves nodes 2 and 3 with edge 0 absent
+        # in its one-round cycle, which closes only while edge 0 stays
+        # absent.
+        target = tmp_path / "witness.jsonl"
+        assert cli.main(facing_pair_search(target)) == 0
+        text = target.read_text()
+        header, *records = text.splitlines(keepends=True)
+        assert '"cycle_always_absent":[0]' in header and '"starved_nodes":[2,3]' in header
+        cases = [
+            (text.replace('"starved_nodes":[2,3]', '"starved_nodes":[0]'),
+             "witness line 1: starved_nodes [0] is not what the round records show: [2,3]"),
+            (text.replace('"cycle_always_absent":[0]', '"cycle_always_absent":[]'),
+             "witness line 1: cycle_always_absent [] is not what the round records show: [0]"),
+            (header + records[0] + records[1].replace("[0]", "[]"),
+             "witness line 1: cycle_length 1: the configuration after path_length + "
+             "cycle_length rounds is not the one after path_length rounds"),
+        ]
+        for edited, message in cases:
+            target.write_text(edited)
+            capsys.readouterr()
+            assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "50"]) == 2
+            assert message in capsys.readouterr().err
+        target.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["simulate", "--adversary", f"witness:{target}", "--rounds", "50"]) == 1
+        assert "Starved" in capsys.readouterr().out
 
     @pytest.mark.parametrize("keys", list(WITNESS_SCENARIO_FILES))
     def test_witness_replay_rejects_a_scenario_file_that_contradicts_it(
