@@ -177,16 +177,53 @@ def _rotations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((m << r | m >> (n - r)) & full for m in range(1 << n)) for r in range(n))
 
 
+@lru_cache(maxsize=64)
+def _cohort_table(algo: str, cohort: tuple[tuple[int, Chirality], ...]) -> _LocalTable:
+    """The unmutated `_LocalTable` of the cohort whose robots have the
+    `(id, chirality)` pairs `cohort`, in order.
+
+    The table reads nothing else of a robot, and game states intern only
+    normal-form local states, so every search of a cohort, and the reading
+    of its witnesses, steps through this one table: each (local state,
+    observation) pair is computed once per process, and a table holds at
+    most 2 * ell * (k+2) * 2 local states per robot.
+    """
+    robots = [RobotState.make(rid, 0, chirality=chirality) for rid, chirality in cohort]
+    return _LocalTable(algo, robots, NO_MUTATIONS)
+
+
+def _search_table(algo: str, robots: Sequence[RobotState]) -> _LocalTable:
+    """The shared search table of the cohort `robots`."""
+    return _cohort_table(algo, tuple((s.id, s.chirality) for s in robots))
+
+
+@lru_cache(maxsize=None)
+def _choices(n: int, max_absent: int, rpos: tuple[int, ...]) -> list[int]:
+    """Absent-edge masks for robots on nodes `rpos` of a ring of n, largest
+    removal sets first, then lexicographic.
+
+    One list serves every search on that ring and budget.  Game searches
+    are desk-scale (n <= 6, k <= 3, robot 0 on node 0), so there are at
+    most 644 lists.
+    """
+    incident = sorted({p for q in rpos for p in (q, (q - 1) % n)})
+    out = []
+    for size in range(min(max_absent, len(incident)), -1, -1):
+        out += map(_mask_of, combinations(incident, size))
+    return out
+
+
 class _ConfigurationGraph:
     """The game's configurations, one int each, and the adversary's moves
     between them, filled as the search reaches them.
 
     A configuration is the robots' positions, rotated so that robot 0
-    stands on node 0, and each robot's `_LocalTable` code; its id (`cid`)
-    is its index in `configs`.  The codes start normalized (`i` in 1..ell,
-    `nrpea` capped at k+1, as every larger count acts alike), and the
-    unmutated rule keeps them so.  `choice_lists[cid]` is its list of
-    removal choices, one list per position tuple.  Entry i of `successors[cid]`,
+    stands on node 0, and each robot's code in the cohort's shared
+    `_search_table`; its id (`cid`) is its index in `configs`.  The codes
+    start normalized (`i` in 1..ell, `nrpea` capped at k+1, as every
+    larger count acts alike), and the unmutated rule keeps them so.
+    `choice_lists[cid]` is its list of removal choices, one list per
+    position tuple.  Entry i of `successors[cid]`,
     None until `fill(cid, i)` computes it, is the move under choice i:
     the child's `cid << n`, the mask of the robots' new nodes in the
     parent's frame, the rotation r that turns the parent's frame into the
@@ -199,13 +236,12 @@ class _ConfigurationGraph:
         self.n = n
         self.full = (1 << n) - 1
         self.max_absent = max_absent
-        self.table = _LocalTable(algo, robots, NO_MUTATIONS)
+        self.table = _search_table(algo, robots)
         self.rotl = _rotations(n)
         self.configs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.choice_lists: list[list[int]] = []
         self.successors: list[list] = []
         self._cids: dict[tuple, int] = {}
-        self._choice_cache: dict[tuple[int, ...], list[int]] = {}
 
     def start(self, robots: Sequence[RobotState]) -> tuple[int, int]:
         """The start's game state and the rotation from the ring to its frame."""
@@ -223,22 +259,10 @@ class _ConfigurationGraph:
         if cid is None:
             cid = self._cids[key] = len(self.configs)
             self.configs.append(key)
-            choices = self._choices(rpos)
+            choices = _choices(n, self.max_absent, rpos)
             self.choice_lists.append(choices)
             self.successors.append([None] * len(choices))
         return cid, rot
-
-    def _choices(self, rpos: tuple[int, ...]) -> list[int]:
-        """Absent-edge masks, largest removal sets first, then lexicographic,
-        one list per position tuple."""
-        out = self._choice_cache.get(rpos)
-        if out is None:
-            n = self.n
-            incident = sorted({p for q in rpos for p in (q, (q - 1) % n)})
-            out = self._choice_cache[rpos] = []
-            for size in range(min(self.max_absent, len(incident)), -1, -1):
-                out += map(_mask_of, combinations(incident, size))
-        return out
 
     def fill(self, cid: int, i: int) -> tuple[int, int, int, tuple[int, ...]]:
         """Successor `i` of `cid`, computed and stored."""
@@ -249,7 +273,7 @@ class _ConfigurationGraph:
         for p, code in zip(rpos, codes):
             # _LocalTable.after, inlined.
             key = code | rpos.count(p) << 2 | ports >> p & 3
-            code, step = memo.get(key) or compute(key)
+            code, step = memo[key] or compute(key)
             p = (p + step) % n
             new_pos.append(p)
             new_codes.append(code)
@@ -476,7 +500,7 @@ def _check_play(witness: Witness) -> None:
     every round of the cycle.
     """
     n, full = witness.n, (1 << witness.n) - 1
-    table = _LocalTable(witness.algo, witness.robots, NO_MUTATIONS)
+    table = _search_table(witness.algo, witness.robots)
     pos = [s.position for s in witness.robots]
     codes = _normal_codes(table, witness.robots)
     occupied, always = _mask_of(pos), full

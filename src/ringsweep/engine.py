@@ -11,9 +11,11 @@ Two implementations of the round exist on purpose: `step` composes the
 robot_core transitions and is the readable reference; `run_states` moves
 each robot by `_local_step`, one pure rule over the robot's own
 variables, the robot count on its node and its two edges.  That rule is
-memoized per run in a `_LocalTable`, so a long run computes each distinct
-(local state, observation) pair once; the game search in `adversary`
-steps through the same table.  Property tests hold the two bit-identical.
+memoized in a `_LocalTable`, a dense list filled as it is used, so a long
+run computes each distinct (local state, observation) pair once.  Every
+run builds its own table; the game searches in `adversary` step through
+one table per cohort, shared by every search of that cohort in the
+process.  Property tests hold the two bit-identical.
 
 `run_states` has one loop over that table: every round, every robot
 steps through it, under the schedule's mask or the one a reactive
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Sequence
 
@@ -194,16 +197,25 @@ def _ports(mask: int, n: int) -> int:
 
 
 class _LocalTable:
-    """The per-robot transition table of one run, filled as it is used.
+    """The per-robot transition table of a cohort, filled as it is used.
 
     A robot's local state `(r, right, i, nrpea, hmpea)` (its column in the
-    run and its four variables) is interned once to a code, its id shifted
-    left by `shift`.  Compute and Update read only that state, the robot
-    count on its node and its two edges, so `next` maps the key
-    `code | here << 2 | cw << 1 | ccw` to `(next code, step)`, computed by
-    `_local_step` the first time the key appears.  A run visits few local
-    states: Update sets `nrpea` to a count of at most k and the index
-    advance lands in 1..ell, so the table stops growing early.
+    cohort and its four variables) is interned once to a code, its id
+    shifted left by `shift`.  Compute and Update read only that state, the
+    robot count on its node and its two edges, so the key
+    `code | here << 2 | cw << 1 | ccw` decides `(next code, step)`.  `next`
+    is a dense list indexed by that key: interning a local state appends
+    its `1 << shift` slots, all None until `fill` computes the entry by
+    `_local_step` the first time the key appears, and equal entries are
+    one tuple.
+
+    The table depends only on the algorithm, the mutations and each
+    robot's word and chirality.  `run_states` builds one per run, so what
+    a fuzzed start interns dies with its run; the game searches and the
+    witness reader of `adversary` share one unmutated table per cohort,
+    which interns only normal-form states (`i` in 1..ell, `nrpea` at most
+    k+1), so it stops growing at 2 * ell * (k+2) * 2 local states per
+    robot.
     """
 
     def __init__(self, algo: str, states: Sequence[RobotState], mutations: frozenset[str]):
@@ -218,15 +230,24 @@ class _LocalTable:
         # `here` (at most k) fits below the code's id bits.
         self.shift = len(states).bit_length() + 2
         self.locals: list[tuple] = []
+        self.next: list[tuple[int, int] | None] = []
         self._codes: dict[tuple, int] = {}
-        self.next: dict[int, tuple[int, int]] = {}
+        self._entries: dict[tuple[int, int], tuple[int, int]] = {}
+        # Interning appends to three containers at once; a table shared by
+        # searches in several threads must not hand two states one code.
+        self._lock = threading.Lock()
 
     def code(self, local: tuple) -> int:
         """The code of local state `(r, right, i, nrpea, hmpea)`."""
         code = self._codes.get(local)
         if code is None:
-            code = self._codes[local] = len(self.locals) << self.shift
-            self.locals.append(local)
+            with self._lock:
+                code = self._codes.get(local)
+                if code is None:
+                    code = len(self.locals) << self.shift
+                    self.locals.append(local)
+                    self.next.extend([None] * (1 << self.shift))
+                    self._codes[local] = code
         return code
 
     def local(self, code: int) -> tuple:
@@ -236,7 +257,7 @@ class _LocalTable:
         """(next code, step) of a robot in state `code` with `here` robots on
         its node and `ports` = cw << 1 | ccw."""
         key = code | here << 2 | ports
-        out = self.next.get(key)
+        out = self.next[key]
         return self.fill(key) if out is None else out
 
     def fill(self, key: int) -> tuple[int, int]:
@@ -247,7 +268,8 @@ class _LocalTable:
             right, i, nrpea, hmpea, here, key >> 1 & 1, key & 1,
             self.pef3, self.chir_cw[r], self.words[r], *self.flags,
         )
-        out = self.next[key] = (self.code((r, right, i, nrpea, hmpea)), step)
+        out = (self.code((r, right, i, nrpea, hmpea)), step)
+        out = self.next[key] = self._entries.setdefault(out, out)
         return out
 
     def columns(self, codes: np.ndarray) -> dict[str, np.ndarray]:
@@ -508,10 +530,8 @@ def _run(
             for p, code in zip(pos, codes):
                 # _LocalTable.after, inlined.
                 key = code | pos.count(p) << 2 | ports >> p & 3
-                try:
-                    code, step = memo[key]
-                except KeyError:
-                    code, step = fill(key)
+                out = memo[key]
+                code, step = fill(key) if out is None else out
                 new_pos.append(ring[p + step])
                 new_codes.append(code)
             pos, codes = new_pos, new_codes

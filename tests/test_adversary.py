@@ -2,6 +2,8 @@
 import hashlib
 import io
 import random
+import sys
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from ringsweep import adversary as adv
-from ringsweep import analysis
+from ringsweep import analysis, engine
 from ringsweep.directions import Chirality, Direction, GlobalDirection, to_global
 from ringsweep.engine import RunView, _LocalTable, _mask_of, _ports, fuzz_initial, run_states
 from ringsweep.ring_model import (
@@ -316,6 +318,32 @@ def phase(witness, t):
     return t if t < lo else lo + (t - lo) % witness.cycle_length
 
 
+def check_golden_search(n, robots, algo, explored, digest):
+    """Pins the explored count, and the witness format and its rounds byte
+    for byte, as the golden trace digest pins traces."""
+    result = adv.game_search(n, robots, algo)
+    assert result.explored == explored
+    if digest is None:
+        assert result.witness is None
+        return
+    buf = io.StringIO()
+    adv.write_witness(result.witness, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# The paper's criterion-5 searches: (n, robots, algo, explored, witness digest).
+GOLDEN_SEARCHES = [
+    pytest.param(4, facing_pair(), "pef3", 2,
+                 "bc96708aeaa94c540312dd9a879737286339e9fa63e38f26258fc2695c4f6042",
+                 id="facing-pair-pef3"),
+    pytest.param(3, [RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True)], "pef2", 3,
+                 "c15d209a256276a6abb83e9bfc1a37886129efb10c812d0f8d9a393e061cd36f",
+                 id="solo-pef2"),
+    pytest.param(4, [RobotState.make(r, r, R, CW, i=1, nrpea=1, hmpea=True) for r in range(3)],
+                 "pef3", 4, None, id="trio-pef3"),
+]
+
+
 class TestConfinementCases:
     # Window nodes v, w, x = 1, 2, 3; e_vl = 0, e_wr = 2, e_xr = 3.
     @pytest.mark.parametrize(
@@ -615,29 +643,9 @@ class TestGameSearch:
         assert trace.rounds == 100_000
         assert len(calls) <= witness.path_length + witness.cycle_length + 1
 
-    @pytest.mark.parametrize(
-        "n,robots,algo,explored,digest",
-        [
-            (4, facing_pair(), "pef3", 2,
-             "bc96708aeaa94c540312dd9a879737286339e9fa63e38f26258fc2695c4f6042"),
-            (3, [RobotState.make(0, 0, R, CW, i=1, nrpea=1, hmpea=True)], "pef2", 3,
-             "c15d209a256276a6abb83e9bfc1a37886129efb10c812d0f8d9a393e061cd36f"),
-            (4, [RobotState.make(r, r, R, CW, i=1, nrpea=1, hmpea=True) for r in range(3)],
-             "pef3", 4, None),
-        ],
-        ids=["facing-pair-pef3", "solo-pef2", "trio-pef3"],
-    )
+    @pytest.mark.parametrize("n,robots,algo,explored,digest", GOLDEN_SEARCHES)
     def test_golden_criterion_5_searches(self, n, robots, algo, explored, digest):
-        # Pins the explored counts, and the witness format and its rounds
-        # byte for byte, as the golden trace digest pins traces.
-        result = adv.game_search(n, robots, algo)
-        assert result.explored == explored
-        if digest is None:
-            assert result.witness is None
-            return
-        buf = io.StringIO()
-        adv.write_witness(result.witness, buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        check_golden_search(n, robots, algo, explored, digest)
 
     @pytest.mark.parametrize(
         "n,robots,algo,message",
@@ -663,3 +671,172 @@ class TestGameSearch:
             states = fuzz_initial(4, [0, 1, 2], random.Random(777 + s))
             result = adv.game_search(4, states, "pef3")
             assert result.verdict == adv.VERDICT_NOT_CONFINABLE
+
+
+def fuzzed_search_case(rng):
+    """(n, robots, algo, max_absent) of a fuzzed search: n 3..6, k 1..3,
+    pef2 at n = 3, max_absent 0..2."""
+    n, k = rng.randint(3, 6), rng.randint(1, 3)
+    algo = "pef2" if n == 3 and rng.random() < 0.5 else "pef3"
+    return n, fuzz_initial(n, list(range(k)), rng), algo, rng.randint(0, 2)
+
+
+def same_cohort_starts(robots, algo, rng, count):
+    """`count` other fuzzed searches of the cohort `robots` (same ids and
+    chiralities): other rings, positions, variables and budgets."""
+    chirality = {r.id: {"chirality": r.chirality} for r in robots}
+    out = []
+    for _ in range(count):
+        n = 3 if algo == "pef2" else rng.randint(3, 6)
+        out.append((n, fuzz_initial(n, [r.id for r in robots], rng, chirality), algo,
+                    rng.randint(0, 2)))
+    return out
+
+
+def outcome(result):
+    """What a search shows: verdict, `explored` and the witness's play."""
+    w = result.witness
+    return (result.verdict, result.explored) + (() if w is None else (
+        w.absent, w.path_length, w.cycle_length, w.starved_nodes, w.cycle_always_absent))
+
+
+def check_table(table):
+    """The interning invariants a lost update in `_LocalTable.code` breaks."""
+    assert len(table.next) == len(table.locals) << table.shift
+    assert len(table._codes) == len(table.locals)
+    for local, code in table._codes.items():
+        assert table.locals[code >> table.shift] == local
+    for key, out in enumerate(table.next):
+        assert out is None or out[0] >> table.shift < len(table.locals), key
+
+
+class TestSharedSearchTable:
+    """Every search of a cohort, and the reading of its witnesses, steps
+    through one process-wide `_LocalTable`; runs build their own."""
+
+    def test_warm_and_cold_searches_agree(self):
+        # Each search once on a cleared table cache, and once after a
+        # shuffled warm-up over other starts of the same cohorts (and the
+        # searches themselves), which leaves the shared tables with other
+        # codes in another order.
+        rng = random.Random(20_020)
+        cases = [fuzzed_search_case(rng) for _ in range(150)]
+        cold = []
+        for case in cases:
+            adv._cohort_table.cache_clear()
+            cold.append(outcome(adv.game_search(*case)))
+        adv._cohort_table.cache_clear()
+        warm_up = list(cases)
+        for n, robots, algo, _ in cases:
+            warm_up += same_cohort_starts(robots, algo, rng, 2)
+        rng.shuffle(warm_up)
+        for case in warm_up:
+            adv.game_search(*case)
+        for i, case in enumerate(cases):
+            assert outcome(adv.game_search(*case)) == cold[i], i
+        assert {c[0] for c in cold} == {adv.VERDICT_CONFINABLE, adv.VERDICT_NOT_CONFINABLE}
+        assert {len(case[1]) for case in cases} == {1, 2, 3}
+
+    @pytest.mark.parametrize("n,robots,algo,explored,digest", GOLDEN_SEARCHES)
+    def test_golden_criterion_5_searches_after_a_warm_up(self, n, robots, algo, explored, digest):
+        adv._cohort_table.cache_clear()
+        rng = random.Random(505)
+        for case in same_cohort_starts(robots, algo, rng, 40):
+            adv.game_search(*case)
+        check_golden_search(n, robots, algo, explored, digest)
+
+    def test_second_search_of_a_cohort_computes_no_rule(self, monkeypatch):
+        # The rule is evaluated only when a table entry is first filled: an
+        # identical second search, and reading back its witness, fill none.
+        calls = []
+        rule = engine._local_step
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(engine, "_local_step", counted)
+        rng = random.Random(8_080)
+        searched = 0
+        while searched < 12:
+            case = fuzzed_search_case(rng)
+            adv._cohort_table.cache_clear()
+            calls.clear()
+            first = outcome(adv.game_search(*case))
+            if first[1] < 2:
+                continue
+            assert calls, searched
+            calls.clear()
+            result = adv.game_search(*case)
+            assert outcome(result) == first
+            if result.witness is not None:
+                buf = io.StringIO()
+                adv.write_witness(result.witness, buf)
+                adv.read_witness(buf.getvalue().splitlines())
+            assert calls == [], searched
+            searched += 1
+
+    def test_shared_table_holds_only_normal_form_states(self):
+        # 200 fuzzed starts of one trio cohort: raw read indices up to 3 ell
+        # and nrpea up to 2k enter the search normalized, and the runs in
+        # between (witness replays and window adversaries, which step the
+        # raw starts) build their own tables, so the shared one stays in
+        # normal form and under its bound.
+        rng = random.Random(30_303)
+        ids, k = [0, 1, 2], 3
+        pinned = {r: {"chirality": rng.choice(list(Chirality))} for r in ids}
+        adv._cohort_table.cache_clear()
+        for _ in range(200):
+            n = rng.randint(4, 6)
+            robots = fuzz_initial(n, ids, rng, pinned)
+            result = adv.game_search(n, robots, "pef3", rng.randint(0, 2))
+            if result.witness is not None:
+                adv.replay_witness(result.witness, 500)
+            run_states(n, "pef3", robots, 500, strategy=adv.ConfinementAdversary(n))
+        table = adv._search_table("pef3", robots)
+        ells = [transformed_length(r) for r in ids]
+        assert len(table.locals) <= sum(2 * ell * (k + 2) * 2 for ell in ells)
+        for r, right, i, nrpea, hmpea in table.locals:
+            assert 1 <= i <= ells[r] and 0 <= nrpea <= k + 1, (r, i, nrpea)
+        check_table(table)
+        assert adv._cohort_table.cache_info().currsize == 1
+
+    def test_concurrent_searches_share_one_consistent_table(self):
+        # Four threads start together on a cold table, forty times, and
+        # intern into it at once; every result must be the serial one, and
+        # the table must hand each local state one code.
+        rng = random.Random(40_404)
+        robots = fuzz_initial(5, [0, 1, 2], rng)
+        cases = same_cohort_starts(robots, "pef3", rng, 8)
+        want = []
+        for case in cases:
+            adv._cohort_table.cache_clear()
+            want.append(outcome(adv.game_search(*case)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rep in range(40):
+                adv._cohort_table.cache_clear()
+                barrier = threading.Barrier(4, timeout=60)
+                got, errors = {}, []
+
+                def worker(w):
+                    try:
+                        barrier.wait()
+                        order = list(range(len(cases)))
+                        random.Random(rep * 4 + w).shuffle(order)
+                        for i in order:
+                            got[w, i] = outcome(adv.game_search(*cases[i]))
+                    except Exception as exc:  # reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and errors == [], rep
+                assert got == {(w, i): want[i] for w in range(4) for i in range(len(cases))}, rep
+                check_table(adv._search_table("pef3", robots))
+        finally:
+            sys.setswitchinterval(interval)

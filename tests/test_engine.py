@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringsweep import engine
 from ringsweep.adversary import ConfinementAdversary, WitnessStrategy, game_search
 from ringsweep.directions import Chirality, Direction, GlobalDirection
 from ringsweep.engine import (
@@ -441,6 +442,61 @@ def test_run_validates_inputs():
         run_states(4, "pef3", states, 5)
     with pytest.raises(ValueError, match="position"):
         run_states(4, "pef3", [RobotState.make(0, 9)], 5, schedule=StaticSchedule(4))
+
+
+def test_dense_table_matches_the_rule(monkeypatch):
+    # Every key a 2,000-round run steps through, read off its trace, is
+    # filled in the run's own table with what a direct `_local_step` call
+    # gives, and so is every other filled slot: both algorithms, every
+    # mutation flag and all of them at once.
+    tables = []
+
+    class Recorded(engine._LocalTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(engine, "_LocalTable", Recorded)
+    rng = random.Random(4_040)
+    for case, mutations in enumerate(MUTATION_CASES * 4 + [KNOWN_MUTATIONS] * 4):
+        n, k = rng.randint(3, 7), rng.randint(1, 4)
+        algo = ("pef3", "pef2")[case % 2]
+        states = fuzz_initial(n, list(range(k)), rng)
+        sched = RecurrentRandomSchedule(n, rng.random(), rng.randint(1, 6), rng.randint(0, 500))
+        trace = run_states(n, algo, states, 2_000, schedule=sched, mutations=mutations)
+        table = tables.pop()
+
+        def direct(local, here, ports):
+            r, right, i, nrpea, hmpea = local
+            *after, step = engine._local_step(
+                right, i, nrpea, hmpea, here, ports >> 1, ports & 1,
+                algo == "pef3", table.chir_cw[r], table.words[r], *table.flags,
+            )
+            return table._codes[(r, *after)], step
+
+        locals_ = [(r, s.direction is R, s.i, s.nrpea, int(s.hmpea)) for r, s in enumerate(states)]
+        config = trace.config_positions().tolist()
+        columns = [trace.gdir_cw.tolist(), trace.idx.tolist(), trace.nrpea.tolist(),
+                   trace.hmpea.tolist()]
+        for t, mask in enumerate(trace.edges.tolist()):
+            ports = engine._ports(mask, n)
+            for r, p in enumerate(config[t]):
+                here, port = config[t].count(p), ports >> p & 3
+                code = table._codes[locals_[r]]
+                want = direct(locals_[r], here, port)
+                assert table.after(code, here, port) == want, (case, t, r)
+                locals_[r] = table.local(want[0])
+                gdir_cw, i, nrpea, hmpea = (col[t][r] for col in columns)
+                assert locals_[r] == (r, gdir_cw == table.chir_cw[r], i, nrpea, hmpea), (case, t, r)
+                assert config[t + 1][r] == (p + want[1]) % n, (case, t, r)
+        filled = 0
+        for key, out in enumerate(table.next):
+            if out is not None:
+                here = key >> 2 & (1 << table.shift - 2) - 1
+                assert out == direct(table.local(key), here, key & 3), (case, key)
+                filled += 1
+        assert filled and len(table.next) == len(table.locals) << table.shift
+    assert not tables
 
 
 def test_trace_helper_shapes():
